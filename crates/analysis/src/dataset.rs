@@ -5,7 +5,6 @@
 //! Conventions follow the paper's network (Fig. 5): outstations listen on
 //! TCP port 2404; anything dialling *to* 2404 is a control server.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use uncharted_iec104::apdu::{StreamDecoder, StreamItemRef};
@@ -19,12 +18,8 @@ use uncharted_nettap::pcap::{Capture, ParsedPacket};
 use uncharted_nettap::source::{self, PacketSource};
 use uncharted_obs::MixHashMap;
 
-use crate::dpi::TimeSeries;
 use crate::exec::ExecContext;
-use crate::executor::ExecutorTuning;
-use crate::markov::ChainInfo;
-use crate::session::Session;
-use crate::TypeCensus;
+use crate::session::{PacketStats, PacketStatsBuilder};
 
 /// The IEC 104 well-known port (what identifies the outstation side).
 pub const IEC104_PORT: u16 = 2404;
@@ -114,96 +109,39 @@ pub struct Dataset {
     pub compliance: BTreeMap<u32, ComplianceEntry>,
     /// Per-pair APDU timelines, sorted by (server, outstation).
     pub timelines: Vec<PairTimeline>,
-    /// Stage results the pipelined executor computed end-to-end on its
-    /// shard workers, waiting to be claimed by the stage drivers.
-    pub(crate) prebuilt: PrebuiltCache,
-}
-
-/// Stage results precomputed by the pipelined executor. Each slot is
-/// claimed (taken) at most once, by the first call to the corresponding
-/// stage driver; later calls recompute from the dataset through the
-/// ordinary code paths, producing identical results. Sequentially built
-/// datasets leave every slot empty.
-#[derive(Debug, Default)]
-pub(crate) struct PrebuiltCache {
-    pub(crate) sessions: Mutex<Option<Vec<Session>>>,
-    pub(crate) census: Mutex<Option<TypeCensus>>,
-    pub(crate) chains: Mutex<Option<Vec<ChainInfo>>>,
-    pub(crate) series: Mutex<Option<Vec<TimeSeries>>>,
-    /// Session packet stats built inline by the sequential ingest's flow
-    /// pass (the executor path prebuilds whole sessions instead).
-    pub(crate) packet_stats: Mutex<Option<crate::session::PacketStats>>,
+    /// Session packet stats built by the ingest's reassembly pass, taken by
+    /// the first [`crate::session::extract`]; later calls rebuild them.
+    packet_stats: Mutex<Option<PacketStats>>,
 }
 
 impl Dataset {
     /// Ingest from already-parsed packets (must be in time order), under an
     /// [`ExecContext`] choosing the worker count and the metrics sink.
     ///
-    /// With more than one worker this routes through the pipelined sharded
-    /// executor ([`crate::executor`]): one dispatch pass hands batched
-    /// packets over bounded channels to N shard workers — flows sharded by
-    /// [`FlowKey`] hash, protocol analysis by the outstation IP a packet
-    /// feeds (the same `dst_port == 2404 → dst, else src` rule the decoding
-    /// pass uses for direction) — and each worker runs the full chain
-    /// end-to-end on its shards. Every piece of analysis state — dialect
-    /// frame samples, stream decoders keyed `(server, outstation,
-    /// direction)`, the per-flow retransmission dedup, compliance counters,
-    /// pair timelines — is affine to a single outstation, so each worker
-    /// reproduces exactly the slice of sequential state for its outstations
-    /// and the per-shard maps are disjoint. Merging them once at the end
-    /// (and sorting timelines by key, which the sequential `BTreeMap` does
-    /// implicitly) yields a `Dataset` — and a set of metric counter totals —
-    /// that is **bit-identical** to the single-threaded build at any worker
-    /// count. Only the stage wall/shard timings and the volatile executor
-    /// counters (queue backpressure) vary run to run.
+    /// Ingest is two independent passes over the capture:
     ///
-    /// [`FlowKey`]: uncharted_nettap::flow::FlowKey
+    /// * the reassembly pass — [`FlowTable::push`] per packet, with the
+    ///   payload-size histogram and the session packet stats folded into
+    ///   the same loop (timed as the `flows` stage);
+    /// * the protocol pass — dialect detection, then streaming APDU decode
+    ///   into pair timelines and the compliance census (the `protocol`
+    ///   stage).
+    ///
+    /// Neither pass reads the other's output, and each records only its own
+    /// metrics. With one worker they run one after the other on the calling
+    /// thread; with more than one, the reassembly pass runs on a scoped
+    /// thread beside the protocol pass. Any worker count above one runs the
+    /// same two passes. The `Dataset`, and every metric counter, is
+    /// bit-identical under any [`ExecPolicy`](crate::ExecPolicy); only the
+    /// stage wall times differ.
     pub fn ingest(packets: Vec<ParsedPacket>, ctx: &ExecContext) -> Dataset {
-        Self::ingest_tuned(packets, ctx, &ExecutorTuning::default())
-    }
-
-    /// [`Dataset::ingest`] with explicit executor tuning (batch size, queue
-    /// depth, fault-injection hooks). Only the executor's stress tests need
-    /// non-default tuning; results are identical under any tuning.
-    #[doc(hidden)]
-    pub fn ingest_tuned(
-        packets: Vec<ParsedPacket>,
-        ctx: &ExecContext,
-        tuning: &ExecutorTuning,
-    ) -> Dataset {
         let m = &ctx.metrics;
         m.nettap.pcap_records_streamed.add(packets.len() as u64);
-        let workers = ctx.workers();
-        if workers > 1 {
-            let run = crate::executor::run_pipelined(&packets, ctx, tuning);
-            return Dataset {
-                packets,
-                flows: run.flows,
-                dialects: run.dialects,
-                compliance: run.compliance,
-                timelines: run.timelines,
-                prebuilt: PrebuiltCache {
-                    sessions: Mutex::new(Some(run.sessions)),
-                    census: Mutex::new(Some(run.census)),
-                    chains: Mutex::new(Some(run.chains)),
-                    series: Mutex::new(Some(run.series)),
-                    packet_stats: Mutex::new(None),
-                },
-            };
-        }
-        // One worker (`Sequential` or `Threads(1)`): run TCP reassembly,
-        // the payload-size histogram, and the session packet-stats
-        // accumulation in a single fused pass over the capture.
-        // `FlowTable::reconstruct` + `packet_stats_of` would walk all
-        // packets twice more for the same results; `ExecPolicy`s with one
-        // worker always take reconstruct's inline path, so push-per-packet
-        // here is bit-identical, and the stats table is stashed for
-        // `session::extract` to claim.
-        let mut stats = crate::session::PacketStatsBuilder::default();
-        let flows = {
+        let reassembly = || {
             let _span = m.nettap.flows_stage.span();
             let _shard = m.nettap.flows_stage.shard_span(0);
             let mut table = FlowTable::default();
+            let mut stats = PacketStatsBuilder::default();
             for pkt in &packets {
                 table.push(pkt);
                 if !pkt.payload.is_empty() {
@@ -214,51 +152,42 @@ impl Dataset {
                 stats.push(pkt);
             }
             table.record_reassembly_metrics(&m.nettap);
-            table
+            (table, stats.finish())
         };
-        let span = m.protocol_stage.span();
-        let shard = {
-            let _shard = m.protocol_stage.shard_span(0);
-            analyze_packets(&packets, |_| true, &m.iec104)
+        let protocol = || {
+            let _span = m.protocol_stage.span();
+            let analysis = {
+                let _shard = m.protocol_stage.shard_span(0);
+                analyze_packets(&packets, &m.iec104)
+            };
+            m.protocol_stage.add_items(packets.len() as u64);
+            analysis
         };
-        m.protocol_stage.add_items(packets.len() as u64);
-        drop(span);
+        let ((flows, packet_stats), analysis) = if ctx.workers() > 1 {
+            std::thread::scope(|scope| {
+                let reassembled = scope.spawn(reassembly);
+                let analysis = protocol();
+                (
+                    reassembled.join().expect("reassembly pass panicked"),
+                    analysis,
+                )
+            })
+        } else {
+            (reassembly(), protocol())
+        };
         Dataset {
             packets,
             flows,
-            dialects: shard.dialects,
-            compliance: shard.compliance,
-            timelines: shard.timelines.into_values().collect(),
-            prebuilt: PrebuiltCache {
-                packet_stats: Mutex::new(Some(stats.finish())),
-                ..PrebuiltCache::default()
-            },
+            dialects: analysis.dialects,
+            compliance: analysis.compliance,
+            timelines: analysis.timelines.into_values().collect(),
+            packet_stats: Mutex::new(Some(packet_stats)),
         }
     }
 
-    /// Take the executor-prebuilt session list, if still unclaimed.
-    pub(crate) fn claim_prebuilt_sessions(&self) -> Option<Vec<Session>> {
-        self.prebuilt.sessions.lock().unwrap().take()
-    }
-
-    /// Take the executor-prebuilt typeID census, if still unclaimed.
-    pub(crate) fn claim_prebuilt_census(&self) -> Option<TypeCensus> {
-        self.prebuilt.census.lock().unwrap().take()
-    }
-
-    /// Take the executor-prebuilt chain-census rows, if still unclaimed.
-    pub(crate) fn claim_prebuilt_chains(&self) -> Option<Vec<ChainInfo>> {
-        self.prebuilt.chains.lock().unwrap().take()
-    }
-
-    /// Take the executor-prebuilt time series, if still unclaimed.
-    pub(crate) fn claim_prebuilt_series(&self) -> Option<Vec<TimeSeries>> {
-        self.prebuilt.series.lock().unwrap().take()
-    }
-
-    /// Take the ingest-prebuilt session packet stats, if still unclaimed.
-    pub(crate) fn claim_prebuilt_packet_stats(&self) -> Option<crate::session::PacketStats> {
-        self.prebuilt.packet_stats.lock().unwrap().take()
+    /// Take the session packet stats the ingest built, if still unclaimed.
+    pub(crate) fn take_packet_stats(&self) -> Option<PacketStats> {
+        self.packet_stats.lock().unwrap().take()
     }
 
     /// Ingest one capture under an [`ExecContext`].
@@ -345,44 +274,20 @@ impl Dataset {
     }
 }
 
-/// The protocol-analysis state for a set of outstations: the piece of a
-/// [`Dataset`] each pipeline worker builds independently.
-pub(crate) struct AnalysisShard {
-    pub(crate) dialects: BTreeMap<u32, Dialect>,
-    pub(crate) compliance: BTreeMap<u32, ComplianceEntry>,
-    pub(crate) timelines: BTreeMap<(u32, u32), PairTimeline>,
+/// What the protocol pass derives from a capture.
+struct ProtocolViews {
+    dialects: BTreeMap<u32, Dialect>,
+    compliance: BTreeMap<u32, ComplianceEntry>,
+    timelines: BTreeMap<(u32, u32), PairTimeline>,
 }
 
-/// FNV-1a over an IP, the shard-assignment hash for outstations (stable
-/// across platforms and releases, unlike `std`'s `Hasher`).
-pub(crate) fn fnv1a_u32(ip: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in ip.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The two analysis passes (dialect detection, then streaming APDU decode),
-/// restricted to the outstations `keep_out` accepts. With `|_| true` this
-/// is the whole sequential analysis; with a shard predicate it is one
-/// worker's disjoint slice of it. The filter is applied to the outstation
-/// an observation is *attributed to* — not to whole packets — so a packet
-/// between two port-2404 endpoints still contributes its frame sample to
-/// each side's own shard, exactly as the unfiltered pass would.
+/// The protocol pass: dialect detection per outstation, then streaming
+/// APDU decode into pair timelines and the compliance census.
 ///
 /// Only the tolerant decoders (including the standalone re-decode of TCP
 /// duplicates) record on `metrics`; the strict compliance decoders feed the
 /// discard sink so an APDU is never counted twice.
-///
-/// Generic over `Borrow` so the pipelined executor's shard workers can run
-/// it over their buffered `&ParsedPacket` refs without copying packets.
-pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
-    packets: &[P],
-    keep_out: impl Fn(u32) -> bool,
-    metrics: &Iec104Metrics,
-) -> AnalysisShard {
+fn analyze_packets(packets: &[ParsedPacket], metrics: &Iec104Metrics) -> ProtocolViews {
     // Pass 1: collect, per outstation, the raw I-frames it sent, for
     // dialect detection. Frames go into one flat arena per outstation
     // (bytes + ranges) instead of a Vec per frame.
@@ -393,8 +298,7 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
     // interleaving hundreds of stations) the loop body is two loads.
     let mut full: uncharted_obs::SlotCache<u32, 512> = uncharted_obs::SlotCache::new();
     for pkt in packets {
-        let pkt = pkt.borrow();
-        if pkt.tcp.src_port == IEC104_PORT && !pkt.payload.is_empty() && keep_out(pkt.ip.src) {
+        if pkt.tcp.src_port == IEC104_PORT && !pkt.payload.is_empty() {
             if full.get(pkt.ip.src).is_some() {
                 continue;
             }
@@ -412,8 +316,7 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
     // threshold differs, so the marker cache restarts empty.
     full.clear();
     for pkt in packets {
-        let pkt = pkt.borrow();
-        if pkt.tcp.dst_port == IEC104_PORT && !pkt.payload.is_empty() && keep_out(pkt.ip.dst) {
+        if pkt.tcp.dst_port == IEC104_PORT && !pkt.payload.is_empty() {
             if full.get(pkt.ip.dst).is_some() {
                 continue;
             }
@@ -463,7 +366,7 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
     // packed-key hash map, with a last-pair memo in front of it: traffic
     // arrives in bursts per device pair, so the common case touches no
     // hash map at all. Compliance entries move into a parallel `Vec`
-    // (sorted by IP, rebuilt into the shard's `BTreeMap` on return) so the
+    // (sorted by IP, rebuilt into a `BTreeMap` on return) so the
     // per-APDU accounting in the sink is an index, not a tree walk.
     // Nothing below iterates the hash maps, so probe order never matters.
     let comp_ips: Vec<u32> = compliance.keys().copied().collect();
@@ -497,7 +400,6 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
     let mut seq_cache: uncharted_obs::SlotCache<u128, 8192> = uncharted_obs::SlotCache::new();
 
     for pkt in packets {
-        let pkt = pkt.borrow();
         if pkt.payload.is_empty() {
             continue;
         }
@@ -508,9 +410,6 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
         } else {
             continue;
         };
-        if !keep_out(out_ip) {
-            continue;
-        }
         let pair_key = ((server_ip as u64) << 32) | out_ip as u64;
         let pi = if memo.1 != NONE && memo.0 == pair_key {
             memo.1 as usize
@@ -635,7 +534,7 @@ pub(crate) fn analyze_packets<P: Borrow<ParsedPacket>>(
         }
     }
 
-    AnalysisShard {
+    ProtocolViews {
         dialects,
         compliance: comp_ips.into_iter().zip(comp_vec).collect(),
         timelines: pairs
@@ -844,9 +743,9 @@ mod tests {
         assert_eq!(tokens, vec![Token::U16, Token::U16]);
     }
 
-    /// Tentpole regression: the sharded build must be bit-identical to the
-    /// sequential one at any thread count — same dialects, compliance
-    /// counters, timelines, and flow records in the same order.
+    /// The overlapped build must be bit-identical to the sequential one at
+    /// any thread count — same dialects, compliance counters, timelines,
+    /// and flow records in the same order.
     #[test]
     fn threaded_build_matches_sequential() {
         let dialects = [
@@ -919,21 +818,24 @@ mod tests {
         let seq_fp = seq_ctx.metrics.snapshot().counter_fingerprint();
         for threads in [2, 3, 8] {
             let ctx = ExecContext::new(ExecPolicy::Threads(threads));
-            let sharded = Dataset::ingest(packets.clone(), &ctx);
-            assert_eq!(sharded.dialects, sequential.dialects, "threads = {threads}");
+            let threaded = Dataset::ingest(packets.clone(), &ctx);
             assert_eq!(
-                sharded.compliance, sequential.compliance,
+                threaded.dialects, sequential.dialects,
                 "threads = {threads}"
             );
             assert_eq!(
-                sharded.timelines, sequential.timelines,
+                threaded.compliance, sequential.compliance,
                 "threads = {threads}"
             );
             assert_eq!(
-                sharded.flows.connections, sequential.flows.connections,
+                threaded.timelines, sequential.timelines,
                 "threads = {threads}"
             );
-            assert_eq!(sharded.packets, sequential.packets, "threads = {threads}");
+            assert_eq!(
+                threaded.flows.connections, sequential.flows.connections,
+                "threads = {threads}"
+            );
+            assert_eq!(threaded.packets, sequential.packets, "threads = {threads}");
             // Counter totals (not just the Dataset) are policy-independent.
             assert_eq!(
                 ctx.metrics.snapshot().counter_fingerprint(),

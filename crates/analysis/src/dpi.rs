@@ -24,20 +24,10 @@ pub struct TypeCensus {
 
 impl TypeCensus {
     /// Count every I-frame ASDU in the dataset, under an [`ExecContext`]
-    /// choosing the worker count and the metrics sink. Threaded runs are
-    /// served by the pipelined executor's prebuilt census; recomputation
-    /// runs the identical sequential count, so the census is identical
-    /// under any policy.
+    /// choosing the metrics sink.
     pub fn build(ds: &Dataset, ctx: &ExecContext) -> TypeCensus {
         let m = &ctx.metrics;
         let _span = m.type_census_stage.span();
-        if let Some(prebuilt) = ds.claim_prebuilt_census() {
-            // The pipelined executor already counted on its shard workers
-            // (recording the per-shard spans); only the claim-time
-            // accounting remains.
-            m.type_census_stage.add_items(prebuilt.total() as u64);
-            return prebuilt;
-        }
         let counts = {
             let _shard = m.type_census_stage.shard_span(0);
             let mut counts = BTreeMap::new();
@@ -210,21 +200,11 @@ impl TimeSeries {
 }
 
 /// Extract every (station, IOA) time series from the dataset's I-frames,
-/// under an [`ExecContext`] choosing the worker count and the metrics sink.
-///
-/// Threaded runs are served by the pipelined executor's prebuilt series
-/// (per-shard maps merged in timeline order, stably sorted); recomputation
-/// runs the identical sequential pass, so the output is the same under any
-/// policy.
+/// under an [`ExecContext`] choosing the metrics sink.
 pub fn series(ds: &Dataset, ctx: &ExecContext) -> Vec<TimeSeries> {
     let m = &ctx.metrics;
     let _span = m.series_stage.span();
-    let out = if let Some(prebuilt) = ds.claim_prebuilt_series() {
-        // The pipelined executor already extracted the series on its shard
-        // workers (recording the per-shard spans); only the claim-time
-        // accounting below remains.
-        prebuilt
-    } else {
+    let out = {
         let _shard = m.series_stage.shard_span(0);
         let mut map: SeriesMap = SeriesMap::default();
         for tl in &ds.timelines {
@@ -237,37 +217,13 @@ pub fn series(ds: &Dataset, ctx: &ExecContext) -> Vec<TimeSeries> {
     out
 }
 
-/// Per-(station, IOA, direction) series under construction; the shape both
-/// the fan-out path here and the pipelined executor accumulate into.
-pub(crate) type SeriesMap = FnvHashMap<(u32, u32, bool), TimeSeries>;
-
-/// Merge per-timeline (or per-shard) series maps in iteration order. Each
-/// key appears at most once per part, so folding parts in timeline order
-/// keeps every series' samples in exactly the order the sequential pass
-/// appends them, regardless of each map's internal iteration order.
-pub(crate) fn fold_series_maps(parts: impl IntoIterator<Item = SeriesMap>) -> SeriesMap {
-    let mut map = SeriesMap::default();
-    for part in parts {
-        for (key, s) in part {
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(s);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let entry = o.get_mut();
-                    entry.samples.extend(s.samples);
-                    entry.type_ids.extend(s.type_ids);
-                }
-            }
-        }
-    }
-    map
-}
+/// Per-(station, IOA, direction) series under construction.
+type SeriesMap = FnvHashMap<(u32, u32, bool), TimeSeries>;
 
 /// Tally one timeline's ASDU typeIDs. Events arrive in per-type bursts, so
 /// runs are accumulated locally and flushed into the tree once per run
 /// instead of paying a `BTreeMap` walk per event (totals are identical).
-pub(crate) fn count_types(counts: &mut BTreeMap<u8, usize>, tl: &crate::dataset::PairTimeline) {
+fn count_types(counts: &mut BTreeMap<u8, usize>, tl: &crate::dataset::PairTimeline) {
     let mut run: Option<(u8, usize)> = None;
     for ev in &tl.events {
         if let Some(asdu) = &ev.asdu {
@@ -296,7 +252,7 @@ pub(crate) fn count_types(counts: &mut BTreeMap<u8, usize>, tl: &crate::dataset:
 /// one entry per series per timeline instead of one per sample. Fold order
 /// is arena creation order, which matches first-appearance order, so the
 /// merged sample sequences are identical to per-sample appends.
-pub(crate) fn series_from_timeline(map: &mut SeriesMap, tl: &crate::dataset::PairTimeline) {
+fn series_from_timeline(map: &mut SeriesMap, tl: &crate::dataset::PairTimeline) {
     let mut slots: Vec<TimeSeries> = Vec::new();
     let mut index: MixHashMap<u128, u32> = MixHashMap::default();
     let mut memo: Option<(u128, u32)> = None;
@@ -368,7 +324,7 @@ pub(crate) fn series_from_timeline(map: &mut SeriesMap, tl: &crate::dataset::Pai
 /// Flatten the keyed series into key order (what the former BTreeMap's
 /// iteration gave for free) and time-sort each one (stable, so ties keep
 /// their arrival order).
-pub(crate) fn sort_series(map: SeriesMap) -> Vec<TimeSeries> {
+fn sort_series(map: SeriesMap) -> Vec<TimeSeries> {
     let mut series: Vec<TimeSeries> = map.into_values().collect();
     series.sort_by_key(|s| (s.station_ip, s.ioa, s.from_server));
     for s in &mut series {

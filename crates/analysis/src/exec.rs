@@ -17,10 +17,10 @@ pub use uncharted_obs::ExecPolicy;
 /// [`MetricsRegistry`]: the capture-layer and protocol-layer metric sets
 /// plus the per-stage timers and item counters of the analysis drivers.
 ///
-/// All handles are lock-free to increment and safe to share across the
-/// scoped worker threads of a sharded run. Counter totals are deterministic
-/// (identical under any [`ExecPolicy`]); only the stage wall/shard timings
-/// vary run to run.
+/// All handles are lock-free to increment and safe to share across
+/// threads (a multi-worker ingest records from two). Counter totals are
+/// deterministic (identical under any [`ExecPolicy`]); only the stage
+/// wall/shard timings vary run to run.
 #[derive(Debug)]
 pub struct PipelineMetrics {
     registry: Arc<MetricsRegistry>,

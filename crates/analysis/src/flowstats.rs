@@ -178,11 +178,7 @@ mod tests {
             5,
         ));
         packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-        let flows = FlowTable::reconstruct(
-            &packets,
-            uncharted_obs::ExecPolicy::Sequential,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let flows = FlowTable::reconstruct(&packets, uncharted_nettap::NettapMetrics::sink());
         let stats = FlowStats::from_flows(&flows);
         assert_eq!(stats.short_sub_second, 10);
         assert_eq!(stats.short_longer, 0);
@@ -209,11 +205,7 @@ mod tests {
             1,
         ));
         packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-        let flows = FlowTable::reconstruct(
-            &packets,
-            uncharted_obs::ExecPolicy::Sequential,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let flows = FlowTable::reconstruct(&packets, uncharted_nettap::NettapMetrics::sink());
         let hist = duration_histogram(&flows);
         assert!(hist.contains(&(-2, 1)));
         assert!(hist.contains(&(0, 1)));
@@ -245,11 +237,7 @@ mod tests {
             packets.last().unwrap().timestamp.is_nan(),
             "total order puts NaN after every real timestamp"
         );
-        let flows = FlowTable::reconstruct(
-            &packets,
-            uncharted_obs::ExecPolicy::Sequential,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let flows = FlowTable::reconstruct(&packets, uncharted_nettap::NettapMetrics::sink());
         let stats = FlowStats::from_flows(&flows);
         assert_eq!(stats.short_sub_second, 3, "intact flows still counted");
         let _ = duration_histogram(&flows);
@@ -262,11 +250,7 @@ mod tests {
         for i in 0..7 {
             packets.extend(reject_pair(i as f64, 42000 + i));
         }
-        let flows = FlowTable::reconstruct(
-            &packets,
-            uncharted_obs::ExecPolicy::Sequential,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let flows = FlowTable::reconstruct(&packets, uncharted_nettap::NettapMetrics::sink());
         let census = reject_census(&flows);
         assert_eq!(census.len(), 1);
         assert_eq!(census[0].1, 7);

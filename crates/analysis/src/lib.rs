@@ -29,10 +29,6 @@
 //! * [`exec`] — the unified execution API: every driver takes an
 //!   [`ExecContext`] (an [`ExecPolicy`] plus a [`PipelineMetrics`] sink)
 //!   instead of the old forked `X` / `X_threaded` entry-point pairs.
-//! * [`executor`] — the pipelined sharded executor behind multi-worker
-//!   ingestion: one dispatch pass hands batched packets over bounded
-//!   channels to N flow-sharded workers that each run the full analysis
-//!   chain end-to-end, merging exactly once at the end.
 //! * [`report`] — plain-text table rendering shared by the bench harness.
 //! * [`stream`] — the incremental streaming engine: batch-by-batch
 //!   ingestion with idle-timeout eviction, online session statistics,
@@ -43,7 +39,6 @@
 pub mod dataset;
 pub mod dpi;
 pub mod exec;
-pub mod executor;
 pub mod flowstats;
 pub mod ids;
 pub mod kmeans;

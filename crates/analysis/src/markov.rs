@@ -234,20 +234,11 @@ pub struct ChainCensus {
 }
 
 impl ChainCensus {
-    /// Build the census under an [`ExecContext`] choosing the worker count
-    /// and the metrics sink. Threaded runs get their parallelism from the
-    /// pipelined executor's prebuilt rows; recomputation (a second call, or
-    /// a sequentially built dataset queried under a threaded context) runs
-    /// the identical sequential map, so rows match under any policy.
+    /// Build the census under an [`ExecContext`] choosing the metrics sink.
     pub fn build(ds: &Dataset, ctx: &ExecContext) -> ChainCensus {
         let m = &ctx.metrics;
         let _span = m.markov_stage.span();
-        let rows: Vec<ChainInfo> = if let Some(prebuilt) = ds.claim_prebuilt_chains() {
-            // The pipelined executor already built the rows on its shard
-            // workers (recording the per-shard spans); only the claim-time
-            // accounting below remains.
-            prebuilt
-        } else {
+        let rows: Vec<ChainInfo> = {
             let _shard = m.markov_stage.shard_span(0);
             ds.timelines
                 .iter()
@@ -260,8 +251,8 @@ impl ChainCensus {
         ChainCensus { rows }
     }
 
-    /// One timeline's census row; shared with the pipelined executor.
-    pub(crate) fn row(tl: &PairTimeline) -> ChainInfo {
+    /// One timeline's census row.
+    fn row(tl: &PairTimeline) -> ChainInfo {
         let tokens = tl.tokens();
         let chain = TokenChain::from_tokens(&tokens);
         ChainInfo {

@@ -17,10 +17,6 @@ use uncharted_obs::MixHashMap;
 /// sessions in `(timeline, direction)` order.
 pub(crate) type PacketStats = MixHashMap<(u32, u32), (Vec<f64>, usize)>;
 
-/// Everything about one direction's session except its packet stats:
-/// `(src, dst, from_server, tokens, ioa_count)`.
-pub(crate) type SessionPartial = (u32, u32, bool, Vec<Token>, usize);
-
 /// One unidirectional session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Session {
@@ -143,23 +139,27 @@ impl SessionFeatures {
 }
 
 /// Extract every session (with at least one APDU) from a dataset, under an
-/// [`ExecContext`] choosing the worker count and the metrics sink.
+/// [`ExecContext`] choosing the metrics sink.
 ///
-/// The session list is identical under any policy: threaded runs are
-/// served by the pipelined executor's prebuilt sessions, and recomputation
-/// runs the sequential pass, which claims packet stats in the canonical
-/// `(timeline, direction)` order.
+/// Packet stats are claimed in the canonical `(timeline, direction)` order:
+/// an IP pair can appear in more than one timeline (a host can be server to
+/// one peer and outstation to another), and the first claimant consumes the
+/// stats entry.
 pub fn extract(ds: &Dataset, ctx: &ExecContext) -> Vec<Session> {
     let m = &ctx.metrics;
     let _span = m.sessions_stage.span();
-    let sessions = if let Some(prebuilt) = ds.claim_prebuilt_sessions() {
-        // The pipelined executor already ran this stage end-to-end on its
-        // shard workers (which recorded the per-shard spans); only the
-        // claim-time accounting below is left to do.
-        prebuilt
-    } else {
+    let sessions = {
         let _shard = m.sessions_stage.shard_span(0);
-        extract_sequential(ds)
+        // The ingest built the stats table in its reassembly pass; only
+        // re-scan the capture when that table was already taken.
+        let mut packet_stats = ds
+            .take_packet_stats()
+            .unwrap_or_else(|| packet_stats_of(&ds.packets));
+        let mut sessions = Vec::new();
+        for tl in &ds.timelines {
+            timeline_sessions(tl, &mut packet_stats, &mut sessions);
+        }
+        sessions
     };
     m.sessions_built.add(sessions.len() as u64);
     m.sessions_stage.add_items(sessions.len() as u64);
@@ -168,8 +168,7 @@ pub fn extract(ds: &Dataset, ctx: &ExecContext) -> Vec<Session> {
 
 /// Build the packet-stat table: timestamps and frame bytes per `(src, dst)`
 /// IP pair, over every packet touching the IEC 104 port (bare ACKs
-/// included). The pipelined executor builds the identical table inline
-/// during its dispatch pass instead of calling this.
+/// included).
 pub(crate) fn packet_stats_of(packets: &[ParsedPacket]) -> PacketStats {
     let mut builder = PacketStatsBuilder::default();
     for pkt in packets {
@@ -179,9 +178,9 @@ pub(crate) fn packet_stats_of(packets: &[ParsedPacket]) -> PacketStats {
 }
 
 /// Incremental accumulator behind [`packet_stats_of`], so a caller that is
-/// already walking the capture (the sequential ingest's flow loop) can fold
-/// the stats pass into its own iteration instead of re-scanning all packets
-/// at session-extraction time.
+/// already walking the capture (the ingest's reassembly pass) can fold the
+/// stats pass into its own iteration instead of re-scanning all packets at
+/// session-extraction time.
 ///
 /// Accumulates into a slot arena fronted by a direct-mapped routing cache —
 /// interleaved captures revisit the same few hundred pairs, so the steady
@@ -228,11 +227,10 @@ impl PacketStatsBuilder {
     }
 }
 
-/// One timeline's session partials, in the canonical `[server-side,
-/// outstation-side]` direction order. Directions without APDUs yield
-/// nothing.
-pub(crate) fn timeline_partials(tl: &PairTimeline) -> Vec<SessionPartial> {
-    let mut out = Vec::new();
+/// Append one timeline's sessions, in the canonical `[server-side,
+/// outstation-side]` direction order, claiming (consuming) each direction's
+/// packet stats. Directions without APDUs yield nothing.
+fn timeline_sessions(tl: &PairTimeline, stats: &mut PacketStats, out: &mut Vec<Session>) {
     for from_server in [true, false] {
         let (src, dst) = if from_server {
             (tl.server_ip, tl.outstation_ip)
@@ -253,44 +251,17 @@ pub(crate) fn timeline_partials(tl: &PairTimeline) -> Vec<SessionPartial> {
         }
         ioas.sort_unstable();
         ioas.dedup();
-        out.push((src, dst, from_server, tokens, ioas.len()));
+        let (times, bytes) = stats.remove(&(src, dst)).unwrap_or_default();
+        out.push(Session {
+            src,
+            dst,
+            from_server,
+            times,
+            bytes,
+            tokens,
+            ioa_count: ioas.len(),
+        });
     }
-    out
-}
-
-/// Claim a partial's packet stats (consuming the map entry, exactly as the
-/// sequential pass does) and assemble the full session. Claim order is part
-/// of the determinism contract: an IP pair can appear in more than one
-/// timeline (a host can be server to one peer and outstation to another),
-/// so callers must claim in the sequential `(timeline, direction)` order.
-pub(crate) fn claim_session(partial: SessionPartial, stats: &mut PacketStats) -> Session {
-    let (src, dst, from_server, tokens, ioa_count) = partial;
-    let (times, bytes) = stats.remove(&(src, dst)).unwrap_or_default();
-    Session {
-        src,
-        dst,
-        from_server,
-        times,
-        bytes,
-        tokens,
-        ioa_count,
-    }
-}
-
-/// The sequential extraction pass.
-fn extract_sequential(ds: &Dataset) -> Vec<Session> {
-    // The sequential ingest already built the stats table inline during its
-    // flow pass; only re-scan the capture when no prebuilt table is left.
-    let mut packet_stats = ds
-        .claim_prebuilt_packet_stats()
-        .unwrap_or_else(|| packet_stats_of(&ds.packets));
-    let mut sessions = Vec::new();
-    for tl in &ds.timelines {
-        for partial in timeline_partials(tl) {
-            sessions.push(claim_session(partial, &mut packet_stats));
-        }
-    }
-    sessions
 }
 
 /// Column-wise z-score standardisation (k-means and PCA both need it; the

@@ -18,8 +18,8 @@
 //! chain census rows, and the same metrics counter fingerprint — at any
 //! batch size and under any window setting. The parity suite in
 //! `tests/stream_parity.rs` enforces this property over adversarial
-//! generated captures, like the executor parity suite does for the
-//! threaded batch path.
+//! generated captures, like `tests/executor_parity.rs` does for the
+//! sequential and threaded batch schedules.
 //!
 //! The one structural obstacle is dialect detection, which batch mode runs
 //! over a *whole-capture* frame sample before decoding anything. The
@@ -31,8 +31,8 @@
 //! All decode state (frame samples, stream decoders, the retransmission
 //! dedup map, compliance counters, pair chains) is affine to a single
 //! outstation, which is what makes the per-outstation replay equivalent to
-//! the batch interleaving; this is the same affinity argument the pipelined
-//! sharded executor rests on.
+//! the batch interleaving: no outstation's result depends on when another
+//! outstation's packets are decoded.
 //!
 //! Known caveat (shared with batch mode's sample cap): an active flow that
 //! sends only junk on port 2404 never reaches the 64-frame sample, so its
@@ -1085,7 +1085,7 @@ impl StreamSession {
         self.close_current_window(&mut events);
         // Resolve stragglers in outstation order (deterministic; all decode
         // state is outstation-affine, so the order does not change any
-        // result — the same affinity argument the sharded executor uses).
+        // result).
         let out_ips: Vec<u32> = self.outs.keys().copied().collect();
         for out_ip in &out_ips {
             let st = self.outs.get_mut(out_ip).expect("keys from scan");

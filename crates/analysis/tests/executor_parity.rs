@@ -1,12 +1,15 @@
-//! Property-based parity suite for the pipelined sharded executor.
+//! Property-based parity suite for the two ingest schedules.
 //!
-//! The executor's contract is total: for *any* capture — random flow mixes,
-//! arbitrary interleavings, junk payloads, retransmissions, bare ACKs — the
-//! merged `Dataset` and every downstream stage result must be bit-identical
-//! between `Sequential` and `Threads(n)`, and so must the metrics counter
-//! fingerprint. These tests generate adversarial captures and check the
-//! whole pipeline at n ∈ {1, 2, 3, 8}, plus the degenerate captures the
-//! generator is unlikely to hit (empty capture, single flow, all junk).
+//! `Dataset::ingest` runs its reassembly and protocol passes one after the
+//! other under `Sequential`, and side by side on two threads under
+//! `Threads(n)` with n > 1. The contract is total: for *any* capture —
+//! random flow mixes, arbitrary interleavings, junk payloads,
+//! retransmissions, bare ACKs — the `Dataset` and every downstream stage
+//! result must be bit-identical between the two schedules, and so must the
+//! metrics counter fingerprint. These tests generate adversarial captures
+//! and check the whole pipeline at n ∈ {1, 2, 3, 8}, plus the degenerate
+//! captures the generator is unlikely to hit (empty capture, single flow,
+//! all junk).
 
 use proptest::prelude::*;
 use uncharted_analysis::dataset::{Dataset, IEC104_PORT};

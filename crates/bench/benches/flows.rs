@@ -6,7 +6,7 @@ use std::hint::black_box;
 use uncharted::analysis::dataset::Dataset;
 use uncharted::nettap::flow::FlowTable;
 use uncharted::nettap::pcap::Capture;
-use uncharted::{ExecContext, ExecPolicy, Scenario, Simulation, Year};
+use uncharted::{ExecContext, Scenario, Simulation, Year};
 
 fn capture() -> Capture {
     Simulation::new(Scenario::small(Year::Y1, 11, 120.0))
@@ -26,7 +26,6 @@ fn bench_capture_plane(c: &mut Criterion) {
         b.iter(|| {
             black_box(FlowTable::reconstruct(
                 black_box(&parsed),
-                ExecPolicy::Sequential,
                 uncharted::nettap::NettapMetrics::sink(),
             ))
         })

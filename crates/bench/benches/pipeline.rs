@@ -1,4 +1,4 @@
-//! End-to-end capture→analysis throughput, single-threaded vs sharded.
+//! End-to-end capture→analysis throughput, sequential vs `Threads(n)`.
 //!
 //! The same simulated capture is ingested (flow reconstruction, dialect
 //! detection, streaming APDU decode) and analysed (typeID census, session

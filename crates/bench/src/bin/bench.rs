@@ -10,8 +10,7 @@
 //! * `--json PATH` — where to write the report (default `BENCH_PR10.json`).
 //! * `--smoke` — seconds-long CI configuration instead of the full run.
 //! * `--threads N` — restrict the thread sweep to the single policy
-//!   `Threads(N)` (plus the sequential baseline), e.g. `--threads 8` for a
-//!   CI variant that exercises the widest shard fan-out only.
+//!   `Threads(N)` (plus the sequential baseline), e.g. `--threads 2`.
 //! * `--baseline PATH` — embed an earlier report as the baseline and compute
 //!   speedups, allocation drops, and the counter-fingerprint equality check.
 //! * `--gate PCT` — exit nonzero if any tracked throughput dropped more than

@@ -188,7 +188,7 @@ pub fn parse_work(stream: &[u8], chunk: usize) -> usize {
 /// Flow layer: sequential TCP reassembly over `packets`, returning
 /// `(connections, segments delivered)`.
 pub fn flows_work(packets: &[ParsedPacket]) -> (usize, usize) {
-    let table = FlowTable::reconstruct(packets, ExecPolicy::Sequential, NettapMetrics::sink());
+    let table = FlowTable::reconstruct(packets, NettapMetrics::sink());
     let segments = table
         .connections
         .iter()

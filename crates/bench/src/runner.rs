@@ -4,9 +4,9 @@
 //! ([`crate::pipebench`]) and emits a machine-readable JSON report:
 //!
 //! * `pipeline` — the Criterion pipeline work unit (ingest + every analysis
-//!   stage), packets/s: sequential plus a thread sweep over the pipelined
-//!   sharded executor at n ∈ {2, 4, 8} workers, with per-n speedup ratios
-//!   against sequential (`sweep_vs_sequential`).
+//!   stage), packets/s: sequential plus a `Threads(n)` sweep at
+//!   n ∈ {2, 4, 8}, with per-n speedup ratios against sequential
+//!   (`sweep_vs_sequential`).
 //! * `parse` — `StreamDecoder` over a contiguous APDU stream, APDUs/s, plus
 //!   allocations per APDU when built with `--features bench-alloc`.
 //! * `flows` — sequential TCP reassembly, segments/s.
@@ -74,14 +74,26 @@ impl RunnerConfig {
     }
 }
 
+/// Run `f`, counting its heap allocations. `None` when the build does not
+/// count allocations (no `bench-alloc` feature): not counted is not zero.
 #[cfg(feature = "bench-alloc")]
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    crate::alloc_count::count(f)
+fn counted<T>(f: impl FnOnce() -> T) -> (Option<u64>, T) {
+    let (allocs, out) = crate::alloc_count::count(f);
+    (Some(allocs), out)
 }
 
 #[cfg(not(feature = "bench-alloc"))]
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    (0, f())
+fn counted<T>(f: impl FnOnce() -> T) -> (Option<u64>, T) {
+    (None, f())
+}
+
+/// Allocations per item over `reps` runs of `items` each, or JSON `null`
+/// when allocations were not counted or there were no items.
+fn allocs_per_item(allocs: Option<u64>, reps: usize, items: usize) -> Value {
+    match allocs {
+        Some(n) if items > 0 => json!(n as f64 / (reps.max(1) as f64 * items as f64)),
+        _ => Value::Null,
+    }
 }
 
 /// `(best-rep seconds, total allocations, result)` for `reps` individually
@@ -89,7 +101,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// reported time: on a shared box it is the noise floor — the run least
 /// disturbed by scheduler preemption — and the statistic that converges as
 /// reps grow, where a total or mean only accumulates interference.
-fn measure<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, u64, T) {
+fn measure<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, Option<u64>, T) {
     std::hint::black_box(f()); // warm-up
     let (allocs, (best, out)) = counted(|| {
         let mut best = f64::INFINITY;
@@ -116,7 +128,7 @@ fn rate(items: u64, secs: f64) -> f64 {
 pub fn run(cfg: RunnerConfig) -> Value {
     let packets = pipebench::scenario_packets(6, cfg.scale);
 
-    // Pipeline work unit: sequential plus the executor thread sweep. The
+    // Pipeline work unit: sequential plus the thread sweep. The
     // timed region is *construction only* — the input clone happens before
     // the clock starts and the built artifacts drop after it stops, so the
     // multi-millisecond allocator teardown (identical across policies by
@@ -209,11 +221,7 @@ pub fn run(cfg: RunnerConfig) -> Value {
     let stream = pipebench::parse_stream(Dialect::STANDARD, cfg.parse_frames);
     let (parse_secs, parse_allocs, apdus) =
         measure(cfg.reps, || pipebench::parse_work(&stream, 1460));
-    let allocs_per_apdu = if apdus > 0 {
-        parse_allocs as f64 / (cfg.reps.max(1) as f64 * apdus as f64)
-    } else {
-        0.0
-    };
+    let allocs_per_apdu = allocs_per_item(parse_allocs, cfg.reps, apdus);
 
     // Flow layer.
     let (flow_secs, _, (connections, segments)) =
@@ -501,6 +509,17 @@ mod tests {
         assert!(gate(&drifted, 100.0)
             .iter()
             .any(|v| v.contains("fingerprint")));
+    }
+
+    #[test]
+    fn uncounted_allocations_are_null_not_zero() {
+        assert_eq!(allocs_per_item(None, 16, 20_000), Value::Null);
+        assert_eq!(allocs_per_item(Some(7), 16, 0), Value::Null);
+        assert_eq!(allocs_per_item(Some(0), 16, 20_000), json!(0.0));
+        assert_eq!(allocs_per_item(Some(64), 4, 8), json!(2.0));
+        let (allocs, out) = counted(|| 5);
+        assert_eq!(out, 5);
+        assert_eq!(allocs.is_some(), cfg!(feature = "bench-alloc"));
     }
 
     #[test]

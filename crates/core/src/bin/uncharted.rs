@@ -36,8 +36,9 @@ fn usage() -> ! {
          uncharted connect HOST:PORT [--year y1|y2] [--seed N] [--scale S] [--rate PPS]\n  \
          uncharted ids --train PCAP [--inspect PCAP]\n\n\
          analyze options:\n  \
-         --threads N             worker threads: 0 = one per core, 1 = sequential (default),\n                          \
-         N = exactly N workers; results are identical at any setting\n  \
+         --threads N             1 = sequential (default); 0 = one worker per core; any\n                          \
+         N > 1 runs flow reassembly on a second thread beside the\n                          \
+         protocol pass; results are identical at any setting\n  \
          --metrics PATH          write the run's metrics (counters, histograms, per-stage\n                          \
          timings) to PATH and print a summary table to stderr\n  \
          --metrics-format FMT    metrics file format: json (default) or prom\n                          \

@@ -361,35 +361,35 @@ mod tests {
     }
 
     /// The whole pipeline — ingestion and every analysis stage — must
-    /// produce bit-identical results sharded and sequential.
+    /// produce bit-identical results threaded and sequential.
     #[test]
     fn threaded_pipeline_matches_sequential() {
         let set = Simulation::new(Scenario::small(Year::Y1, 5, 60.0)).run();
         let sequential = Pipeline::builder().exec(ExecPolicy::Sequential).build(&set);
-        let sharded = Pipeline::builder().exec(ExecPolicy::Threads(4)).build(&set);
-        assert_eq!(sharded.dataset.packets, sequential.dataset.packets);
-        assert_eq!(sharded.dataset.dialects, sequential.dataset.dialects);
-        assert_eq!(sharded.dataset.compliance, sequential.dataset.compliance);
-        assert_eq!(sharded.dataset.timelines, sequential.dataset.timelines);
+        let threaded = Pipeline::builder().exec(ExecPolicy::Threads(4)).build(&set);
+        assert_eq!(threaded.dataset.packets, sequential.dataset.packets);
+        assert_eq!(threaded.dataset.dialects, sequential.dataset.dialects);
+        assert_eq!(threaded.dataset.compliance, sequential.dataset.compliance);
+        assert_eq!(threaded.dataset.timelines, sequential.dataset.timelines);
         assert_eq!(
-            sharded.dataset.flows.connections,
+            threaded.dataset.flows.connections,
             sequential.dataset.flows.connections
         );
-        assert_eq!(sharded.flow_stats(), sequential.flow_stats());
-        assert_eq!(sharded.sessions(), sequential.sessions());
-        assert_eq!(sharded.chain_census().rows, sequential.chain_census().rows);
+        assert_eq!(threaded.flow_stats(), sequential.flow_stats());
+        assert_eq!(threaded.sessions(), sequential.sessions());
+        assert_eq!(threaded.chain_census().rows, sequential.chain_census().rows);
         assert_eq!(
-            sharded.type_census().counts,
+            threaded.type_census().counts,
             sequential.type_census().counts
         );
-        assert_eq!(sharded.physical_series(), sequential.physical_series());
+        assert_eq!(threaded.physical_series(), sequential.physical_series());
         assert_eq!(
-            sharded.classify_outstations(),
+            threaded.classify_outstations(),
             sequential.classify_outstations()
         );
         // The recorded counter totals (timings excluded) match too.
         assert_eq!(
-            sharded.metrics().snapshot().counter_fingerprint(),
+            threaded.metrics().snapshot().counter_fingerprint(),
             sequential.metrics().snapshot().counter_fingerprint()
         );
     }

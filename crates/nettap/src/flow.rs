@@ -11,7 +11,6 @@
 use crate::metrics::NettapMetrics;
 use crate::pcap::{Capture, ParsedPacket};
 use crate::stack::SocketAddr;
-use uncharted_obs::ExecPolicy;
 
 /// Canonically ordered endpoint pair identifying a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,29 +46,6 @@ impl FlowKey {
             | ((self.b.ip as u128) << 64)
             | ((self.a.port as u128) << 16)
             | self.b.port as u128
-    }
-
-    /// The key of a parsed packet (direction-independent).
-    pub fn of(pkt: &ParsedPacket) -> FlowKey {
-        FlowKey::new(
-            SocketAddr::new(pkt.ip.src, pkt.tcp.src_port),
-            SocketAddr::new(pkt.ip.dst, pkt.tcp.dst_port),
-        )
-    }
-
-    /// A platform-independent FNV-1a hash of the key, used to shard
-    /// connections across pipeline workers. `std`'s `Hasher` is not
-    /// guaranteed stable across releases, and shard assignment must be
-    /// reproducible for the parallel pipeline to be deterministic.
-    pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for part in [self.a.ip, self.a.port as u32, self.b.ip, self.b.port as u32] {
-            for byte in part.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
     }
 }
 
@@ -467,69 +443,37 @@ pub struct FlowTable {
 impl FlowTable {
     /// Reconstruct from an in-memory capture.
     pub fn from_capture(capture: &Capture) -> FlowTable {
-        Self::reconstruct(
-            &capture.parsed(),
-            ExecPolicy::Sequential,
-            NettapMetrics::sink(),
-        )
+        Self::reconstruct(&capture.parsed(), NettapMetrics::sink())
     }
 
     /// Reconstruct flows from already parsed packets (must be in time
-    /// order) under the given [`ExecPolicy`]. This is the canonical driver.
+    /// order): one [`FlowTable::push`] per packet on the calling thread.
     ///
-    /// With more than one worker, connections are sharded by [`FlowKey`]
-    /// hash across scoped workers, each running the ordinary sequential
-    /// reassembly over its own keys, and the per-shard tables are merged
-    /// back in first-packet order. All reassembly state (cursor, pending
-    /// segments, retransmission accounting) is keyed by connection, and
-    /// every packet of a connection lands in the same shard, so each
-    /// reconstructed record is byte-identical to the sequential build;
-    /// sorting records by the global index of their first packet restores
-    /// the exact first-seen order. The output — including every metric
-    /// counter — is therefore bit-identical at any worker count.
-    ///
-    /// Metrics recorded on `metrics`: the `flows` stage span (with
-    /// per-shard wall times when parallel), reassembly counters summed from
-    /// the per-direction accounting, and the payload-size histogram.
-    pub fn reconstruct(
-        packets: &[ParsedPacket],
-        policy: ExecPolicy,
-        metrics: &NettapMetrics,
-    ) -> FlowTable {
+    /// Metrics recorded on `metrics`: the `flows` stage span, reassembly
+    /// counters summed from the per-direction accounting, and the
+    /// payload-size histogram.
+    pub fn reconstruct(packets: &[ParsedPacket], metrics: &NettapMetrics) -> FlowTable {
         let _span = metrics.flows_stage.span();
-        let table = if policy.is_sequential() {
-            let _shard = metrics.flows_stage.shard_span(0);
-            let mut table = FlowTable::default();
-            // The payload-size histogram rides the same pass — a separate
-            // observation loop would walk the whole capture a second time.
-            for pkt in packets {
-                table.push(pkt);
-                if !pkt.payload.is_empty() {
-                    metrics
-                        .segment_payload_octets
-                        .observe(pkt.payload.len() as u64);
-                }
+        let _shard = metrics.flows_stage.shard_span(0);
+        let mut table = FlowTable::default();
+        // The payload-size histogram rides the same pass — a separate
+        // observation loop would walk the whole capture a second time.
+        for pkt in packets {
+            table.push(pkt);
+            if !pkt.payload.is_empty() {
+                metrics
+                    .segment_payload_octets
+                    .observe(pkt.payload.len() as u64);
             }
-            table
-        } else {
-            let table = Self::reconstruct_sharded(packets, policy.workers(), metrics);
-            for pkt in packets {
-                if !pkt.payload.is_empty() {
-                    metrics
-                        .segment_payload_octets
-                        .observe(pkt.payload.len() as u64);
-                }
-            }
-            table
-        };
+        }
         table.record_reassembly_metrics(metrics);
         table
     }
 
     /// Sum the per-direction reassembly accounting into the shared counters
     /// and record the flow count as this run's `flows` stage items. Called
-    /// once per reconstruction, after all packets are absorbed; the pipelined
-    /// executor calls it on the merged table instead of going through
+    /// once per reconstruction, after all packets are absorbed; batch ingest
+    /// calls it after its own fused push loop instead of going through
     /// [`FlowTable::reconstruct`].
     pub fn record_reassembly_metrics(&self, metrics: &NettapMetrics) {
         let mut delivered = 0usize;
@@ -546,70 +490,6 @@ impl FlowTable {
         metrics.overlaps_trimmed.add(overlaps as u64);
         metrics.seq_wraparounds.add(wraps as u64);
         metrics.flows_stage.add_items(self.len() as u64);
-    }
-
-    fn reconstruct_sharded(
-        packets: &[ParsedPacket],
-        threads: usize,
-        metrics: &NettapMetrics,
-    ) -> FlowTable {
-        let shards: Vec<(Vec<usize>, FlowTable)> = std::thread::scope(|scope| {
-            // The intermediate collect() is what makes the workers run in
-            // parallel: fusing spawn and join into one lazy chain would
-            // join each thread before spawning the next.
-            #[allow(clippy::needless_collect)]
-            let handles: Vec<_> = (0..threads)
-                .map(|me| {
-                    scope.spawn(move || {
-                        let _shard = metrics.flows_stage.shard_span(me);
-                        let mut table = FlowTable::default();
-                        // Global index of the packet that opened each record,
-                        // aligned with `table.connections`.
-                        let mut firsts: Vec<usize> = Vec::new();
-                        for (i, pkt) in packets.iter().enumerate() {
-                            let key = FlowKey::of(pkt);
-                            if key.stable_hash() % threads as u64 != me as u64 {
-                                continue;
-                            }
-                            let before = table.connections.len();
-                            table.push(pkt);
-                            if table.connections.len() > before {
-                                firsts.push(i);
-                            }
-                        }
-                        (firsts, table)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flow shard worker panicked"))
-                .collect()
-        });
-        Self::merge_tagged(shards)
-    }
-
-    /// Merge per-shard tables back into one, given each shard's connection
-    /// records tagged with the *global* index of the packet that opened
-    /// them. Because every packet of a connection lands in exactly one
-    /// shard, sorting records by first-packet index restores the exact
-    /// first-seen order an incremental [`FlowTable::push`] loop over the
-    /// whole capture would have produced, and re-inserting in that order
-    /// rebuilds the live-record index identically.
-    pub fn merge_tagged(shards: impl IntoIterator<Item = (Vec<usize>, FlowTable)>) -> FlowTable {
-        let mut tagged: Vec<(usize, TcpConnection)> = Vec::new();
-        for (firsts, table) in shards {
-            tagged.extend(firsts.into_iter().zip(table.connections));
-        }
-        tagged.sort_by_key(|&(first, _)| first);
-        let mut merged = FlowTable::default();
-        for (_, conn) in tagged {
-            // Re-inserting in order leaves `live` pointing at the latest
-            // record per key, as incremental `push` would.
-            merged.live.insert(conn.key, merged.connections.len());
-            merged.connections.push(conn);
-        }
-        merged
     }
 
     /// Feed one packet.
@@ -777,7 +657,7 @@ mod tests {
 
     /// Sequential reconstruction against the discard metrics sink.
     fn table_of(packets: &[ParsedPacket]) -> FlowTable {
-        FlowTable::reconstruct(packets, ExecPolicy::Sequential, NettapMetrics::sink())
+        FlowTable::reconstruct(packets, NettapMetrics::sink())
     }
 
     /// SYN → RST: the Fig. 9 refused backup connection.
@@ -992,75 +872,6 @@ mod tests {
         let d = c.dir(c.direction_from(r));
         assert_eq!(d.mean_interarrival(), Some(2.0));
         assert_eq!(c.dir(c.direction_from(s)).mean_interarrival(), None);
-    }
-
-    /// The sharded reconstruction must be bit-identical to the sequential
-    /// one: same records, same order, same streams and counters.
-    #[test]
-    fn sharded_reconstruction_matches_sequential() {
-        let data = TcpFlags::ACK.with(TcpFlags::PSH);
-        let mut packets = Vec::new();
-        // Eight interleaved connections from distinct servers, with
-        // handshakes, out-of-order data, retransmissions, and teardown.
-        for i in 0..8u32 {
-            let s = SocketAddr::new(addr(10, 0, 0, 1 + i as u8), 40000 + i as u16);
-            let r = SocketAddr::new(addr(10, 0, 7, 1 + (i % 3) as u8), 2404);
-            let t0 = i as f64 * 0.01;
-            packets.push(pkt(t0, s, r, 100, 0, TcpFlags::SYN, b""));
-            packets.push(pkt(
-                t0 + 1.0,
-                r,
-                s,
-                500,
-                101,
-                TcpFlags::SYN.with(TcpFlags::ACK),
-                b"",
-            ));
-            packets.push(pkt(t0 + 2.0, s, r, 101, 501, data, b"abc"));
-            packets.push(pkt(t0 + 3.0, s, r, 107, 501, data, b"ghi")); // early
-            packets.push(pkt(t0 + 4.0, s, r, 104, 501, data, b"def")); // fills gap
-            packets.push(pkt(t0 + 5.0, s, r, 104, 501, data, b"def")); // retransmit
-            if i % 2 == 0 {
-                packets.push(pkt(
-                    t0 + 6.0,
-                    s,
-                    r,
-                    110,
-                    501,
-                    TcpFlags::FIN.with(TcpFlags::ACK),
-                    b"",
-                ));
-                // 4-tuple reuse: a fresh attempt after the close.
-                packets.push(pkt(t0 + 7.0, s, r, 9000, 0, TcpFlags::SYN, b""));
-            }
-        }
-        packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-        let seq_reg = uncharted_obs::MetricsRegistry::new();
-        let seq = FlowTable::reconstruct(
-            &packets,
-            ExecPolicy::Sequential,
-            &NettapMetrics::register(&seq_reg),
-        );
-        for threads in [2, 3, 5] {
-            let par_reg = uncharted_obs::MetricsRegistry::new();
-            let par = FlowTable::reconstruct(
-                &packets,
-                ExecPolicy::Threads(threads),
-                &NettapMetrics::register(&par_reg),
-            );
-            assert_eq!(par.connections, seq.connections, "threads = {threads}");
-            assert_eq!(par.live, seq.live, "threads = {threads}");
-            // Counter totals (not timings) are part of the determinism
-            // contract too.
-            assert_eq!(
-                par_reg.snapshot().counter_fingerprint(),
-                seq_reg.snapshot().counter_fingerprint(),
-                "threads = {threads}"
-            );
-        }
-        let snap = seq_reg.snapshot();
-        assert!(snap.counter_total("nettap_segments_reassembled") > 0);
-        assert!(snap.counter_total("nettap_overlaps_trimmed") > 0);
     }
 
     /// Regression (timestamp invariant): when captured timestamps regress,

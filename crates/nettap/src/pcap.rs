@@ -516,9 +516,9 @@ fn validate_pcap_bytes(bytes: &[u8]) -> Result<usize> {
 /// `chunk_packets` and hands them over a bounded channel (at most two
 /// chunks in flight) while the calling thread decodes Ethernet/IPv4/TCP
 /// and invokes `sink`. Undecodable frames are skipped, exactly like
-/// [`Capture::parsed`], and batches arrive in capture order. This is the
-/// handoff the pipelined executor builds on: the consumer sees bounded
-/// batches without ever holding the raw and decoded captures side by side.
+/// [`Capture::parsed`], and batches arrive in capture order. The consumer
+/// sees bounded batches without ever holding the raw and decoded captures
+/// side by side.
 pub fn parse_pcap_batched<R: Read + Send>(
     reader: R,
     chunk_packets: usize,

@@ -168,7 +168,6 @@ proptest! {
         }
         let table = FlowTable::reconstruct(
             &packets,
-            uncharted_obs::ExecPolicy::Sequential,
             uncharted_nettap::NettapMetrics::sink(),
         );
         prop_assert_eq!(table.len(), 1);
@@ -238,7 +237,6 @@ proptest! {
         }
         let table = FlowTable::reconstruct(
             &packets,
-            uncharted_obs::ExecPolicy::Sequential,
             uncharted_nettap::NettapMetrics::sink(),
         );
         prop_assert_eq!(table.len(), 1);

@@ -8,13 +8,18 @@ use std::thread;
 /// every driver takes an `ExecPolicy` and decides internally whether to run
 /// inline or fork scoped worker threads. Output is bit-identical for any
 /// policy; only wall-clock time differs.
+///
+/// Batch ingest (`Dataset::ingest` in the analysis crate) is the one driver
+/// that uses a second thread: with more than one worker it runs its flow
+/// reassembly pass on a scoped thread beside its protocol pass. Every other
+/// stage runs on the calling thread under any policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecPolicy {
     /// Run on the calling thread. Deterministic baseline, zero thread setup.
     Sequential,
-    /// Fork exactly `n` scoped worker threads. `Threads(0)` and `Threads(1)`
-    /// both clamp to one worker (equivalent to `Sequential` throughput-wise,
-    /// but still routed through the sharded code path).
+    /// Use `n` workers. `Threads(0)` and `Threads(1)` both clamp to one
+    /// worker and run exactly like `Sequential`; any `n > 1` runs the same
+    /// two-thread ingest (there are only two passes to overlap).
     Threads(usize),
     /// One worker per available core, as reported by
     /// [`std::thread::available_parallelism`]; falls back to a single worker

@@ -64,7 +64,7 @@ pub use exec::ExecPolicy;
 pub use fnv::{
     FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher, MixBuildHasher, MixHashMap, MixHasher,
 };
-pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, ShardSpan, Span, Stage};
+pub use metrics::{Counter, Gauge, Histogram, ShardSpan, Span, Stage};
 pub use registry::{
     CounterSample, GaugeSample, HistogramSample, MetricsRegistry, MetricsSnapshot, StageSample,
 };

@@ -151,53 +151,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    /// A thread-local accumulator sharing this histogram's bounds. Hot loops
-    /// that observe per item can record into the local (plain integer adds,
-    /// no atomics) and [`Histogram::absorb`] it once at the end; the final
-    /// totals are identical to per-item [`Histogram::observe`] calls.
-    pub fn local(&self) -> LocalHistogram {
-        LocalHistogram {
-            bounds: self.bounds.clone(),
-            buckets: vec![0; self.buckets.len()],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Fold a [`LocalHistogram`] built by [`Histogram::local`] into this
-    /// histogram: one atomic add per non-empty bucket instead of three per
-    /// observation.
-    pub fn absorb(&self, local: &LocalHistogram) {
-        assert_eq!(local.bounds, self.bounds, "local histogram bounds mismatch");
-        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        self.sum.fetch_add(local.sum, Ordering::Relaxed);
-    }
-}
-
-/// Unsynchronised histogram accumulator for one thread's hot loop; built by
-/// [`Histogram::local`], folded back with [`Histogram::absorb`].
-#[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    bounds: Vec<u64>,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl LocalHistogram {
-    /// Record one observation (no atomics).
-    pub fn observe(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
 }
 
 /// Wall-clock timing and throughput accounting for one pipeline stage.
@@ -356,21 +309,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         Histogram::new(&[10, 10]);
-    }
-
-    #[test]
-    fn local_histogram_absorbs_to_identical_totals() {
-        let direct = Histogram::new(&[10, 100]);
-        let batched = Histogram::new(&[10, 100]);
-        let mut local = batched.local();
-        for v in [1, 10, 11, 100, 101, 5000] {
-            direct.observe(v);
-            local.observe(v);
-        }
-        batched.absorb(&local);
-        assert_eq!(batched.bucket_counts(), direct.bucket_counts());
-        assert_eq!(batched.count(), direct.count());
-        assert_eq!(batched.sum(), direct.sum());
     }
 
     #[test]
