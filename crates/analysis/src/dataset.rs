@@ -743,11 +743,10 @@ mod tests {
         assert_eq!(tokens, vec![Token::U16, Token::U16]);
     }
 
-    /// The overlapped build must be bit-identical to the sequential one at
-    /// any thread count — same dialects, compliance counters, timelines,
-    /// and flow records in the same order.
-    #[test]
-    fn threaded_build_matches_sequential() {
+    /// Five outstations in mixed dialects behind two servers, with a TCP
+    /// retransmission, an S-frame per pair and some non-104 chatter, in
+    /// time order.
+    fn mixed_dialect_packets() -> Vec<ParsedPacket> {
         let dialects = [
             Dialect::STANDARD,
             Dialect::LEGACY_COT,
@@ -811,7 +810,15 @@ mod tests {
             b"hello",
         ));
         packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+        packets
+    }
 
+    /// The overlapped build must be bit-identical to the sequential one at
+    /// any thread count — same dialects, compliance counters, timelines,
+    /// and flow records in the same order.
+    #[test]
+    fn threaded_build_matches_sequential() {
+        let packets = mixed_dialect_packets();
         let seq_ctx = ExecContext::new(ExecPolicy::Sequential);
         let sequential = Dataset::ingest(packets.clone(), &seq_ctx);
         assert_eq!(sequential.timelines.len(), 5);
@@ -854,6 +861,43 @@ mod tests {
                 .unwrap()
                 > 0
         );
+    }
+
+    /// The reassembly pass hands session extraction the same packet-stats
+    /// table a standalone scan builds, under either schedule, and hands it
+    /// over exactly once.
+    #[test]
+    fn ingest_hands_off_packet_stats_once() {
+        let packets = mixed_dialect_packets();
+        let scanned = crate::session::packet_stats_of(&packets);
+        for policy in [ExecPolicy::Sequential, ExecPolicy::Threads(2)] {
+            let ds = Dataset::ingest(packets.clone(), &ExecContext::new(policy));
+            assert_eq!(
+                ds.take_packet_stats().as_ref(),
+                Some(&scanned),
+                "{policy:?}"
+            );
+            assert!(ds.take_packet_stats().is_none(), "{policy:?}");
+        }
+    }
+
+    /// Session extraction gives the same sessions whether it claims the
+    /// ingest's packet stats or, on a later call, rebuilds them from the
+    /// packets — and the same under either schedule.
+    #[test]
+    fn repeated_extract_matches_first() {
+        let packets = mixed_dialect_packets();
+        let seq_ctx = ExecContext::sequential();
+        let seq_ds = Dataset::ingest(packets.clone(), &seq_ctx);
+        let first = crate::session::extract(&seq_ds, &seq_ctx);
+        assert_eq!(first.len(), 10, "both directions of five pairs");
+        assert!(first.iter().all(|s| !s.times.is_empty()));
+        assert_eq!(crate::session::extract(&seq_ds, &seq_ctx), first);
+
+        let ctx = ExecContext::new(ExecPolicy::Threads(2));
+        let ds = Dataset::ingest(packets, &ctx);
+        assert_eq!(crate::session::extract(&ds, &ctx), first);
+        assert_eq!(crate::session::extract(&ds, &ctx), first);
     }
 
     /// `ingest_source` is the same ingest as `Dataset::ingest`, for any

@@ -874,6 +874,75 @@ mod tests {
         assert_eq!(c.dir(c.direction_from(s)).mean_interarrival(), None);
     }
 
+    /// Batch ingest runs its own fused `push` loop and then
+    /// `record_reassembly_metrics` instead of calling `reconstruct`; the two
+    /// must agree: same records, same order, same live index and counters.
+    #[test]
+    fn push_loop_matches_reconstruct() {
+        let data = TcpFlags::ACK.with(TcpFlags::PSH);
+        let mut packets = Vec::new();
+        // Eight interleaved connections from distinct servers, with
+        // handshakes, out-of-order data, retransmissions, and teardown.
+        for i in 0..8u32 {
+            let s = SocketAddr::new(addr(10, 0, 0, 1 + i as u8), 40000 + i as u16);
+            let r = SocketAddr::new(addr(10, 0, 7, 1 + (i % 3) as u8), 2404);
+            let t0 = i as f64 * 0.01;
+            packets.push(pkt(t0, s, r, 100, 0, TcpFlags::SYN, b""));
+            packets.push(pkt(
+                t0 + 1.0,
+                r,
+                s,
+                500,
+                101,
+                TcpFlags::SYN.with(TcpFlags::ACK),
+                b"",
+            ));
+            packets.push(pkt(t0 + 2.0, s, r, 101, 501, data, b"abc"));
+            packets.push(pkt(t0 + 3.0, s, r, 107, 501, data, b"ghi")); // early
+            packets.push(pkt(t0 + 4.0, s, r, 104, 501, data, b"def")); // fills gap
+            packets.push(pkt(t0 + 5.0, s, r, 104, 501, data, b"def")); // retransmit
+            if i % 2 == 0 {
+                packets.push(pkt(
+                    t0 + 6.0,
+                    s,
+                    r,
+                    110,
+                    501,
+                    TcpFlags::FIN.with(TcpFlags::ACK),
+                    b"",
+                ));
+                // 4-tuple reuse: a fresh attempt after the close.
+                packets.push(pkt(t0 + 7.0, s, r, 9000, 0, TcpFlags::SYN, b""));
+            }
+        }
+        packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+        let rec_reg = uncharted_obs::MetricsRegistry::new();
+        let rec = FlowTable::reconstruct(&packets, &NettapMetrics::register(&rec_reg));
+        assert_eq!(rec.len(), 12, "eight connections plus four reuses");
+
+        let push_reg = uncharted_obs::MetricsRegistry::new();
+        let push_metrics = NettapMetrics::register(&push_reg);
+        let mut pushed = FlowTable::default();
+        for p in &packets {
+            pushed.push(p);
+            if !p.payload.is_empty() {
+                push_metrics
+                    .segment_payload_octets
+                    .observe(p.payload.len() as u64);
+            }
+        }
+        pushed.record_reassembly_metrics(&push_metrics);
+        assert_eq!(pushed.connections, rec.connections);
+        assert_eq!(pushed.live, rec.live);
+        assert_eq!(
+            push_reg.snapshot().counter_fingerprint(),
+            rec_reg.snapshot().counter_fingerprint()
+        );
+        let snap = rec_reg.snapshot();
+        assert!(snap.counter_total("nettap_segments_reassembled") > 0);
+        assert!(snap.counter_total("nettap_overlaps_trimmed") > 0);
+    }
+
     /// Regression (timestamp invariant): when captured timestamps regress,
     /// the span is meaningless and the mean must be `None`, not negative.
     #[test]
