@@ -1,8 +1,8 @@
 //! Incremental streaming analysis with bounded memory.
 //!
 //! The batch pipeline ([`Dataset::ingest`](crate::dataset::Dataset::ingest))
-//! holds the whole capture — every packet, every per-direction timestamp
-//! vector, every reassembled byte stream — until the stage drivers run.
+//! holds the whole capture — every packet and every flow record — until the
+//! stage drivers run.
 //! This module consumes packets batch by batch instead, keeping only *live*
 //! state: a flow table with idle-timeout eviction, online per-session
 //! statistics (running count/first/last/bytes plus a Welford inter-arrival
@@ -68,7 +68,7 @@ use crate::session::{standardize, SessionFeatures};
 const MAX_WINDOW_ALERTS: usize = 32;
 
 /// How a [`StreamSession`] runs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamConfig {
     /// Width of the analysis window in seconds, anchored at the first
     /// packet. `None` (or a non-positive width) disables windowing.
@@ -77,20 +77,6 @@ pub struct StreamConfig {
     /// their analysis units and freeing their buffers. `None` keeps
     /// everything live — the batch-parity mode.
     pub idle_timeout: Option<f64>,
-    /// Keep reassembled payload history on live flows. Follow mode sets
-    /// this to `false` and trims flow buffers on every eviction sweep, so
-    /// resident memory is bounded by the *active* flow set.
-    pub retain_payload: bool,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            window: None,
-            idle_timeout: None,
-            retain_payload: true,
-        }
-    }
 }
 
 /// One IDS verdict inside a window: activity a pair's own learned chain has
@@ -172,7 +158,8 @@ pub enum StreamEvent {
         packets: usize,
         /// Seconds between its first and last packet.
         duration: f64,
-        /// Buffer bytes freed by dropping the record.
+        /// Reassembly bookkeeping freed by dropping the record: 8 bytes
+        /// per segment it still held pending behind a sequence hole.
         freed_bytes: usize,
     },
     /// A session was finalized (outstation eviction or stream finish).
@@ -670,7 +657,7 @@ pub struct StreamSession {
 /// use uncharted_analysis::stream::StreamSession;
 /// let session = StreamSession::builder()
 ///     .window(Some(30.0))
-///     .retain_payload(false)
+///     .idle_timeout(Some(60.0))
 ///     .build();
 /// ```
 #[derive(Debug, Default)]
@@ -694,10 +681,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Keep reassembled payload history on live flows (default `true`;
-    /// bounded-memory deployments set `false`).
-    pub fn retain_payload(mut self, retain: bool) -> SessionBuilder {
-        self.cfg.retain_payload = retain;
+    /// Does nothing. Flow reassembly holds no payload bytes and no
+    /// per-packet history, so there is nothing to trim between batches:
+    /// resident memory is bounded by the live flow set and the segments
+    /// pending behind sequence holes whatever this says. Kept so existing
+    /// callers still build.
+    pub fn retain_payload(self, _retain: bool) -> SessionBuilder {
         self
     }
 
@@ -717,7 +706,7 @@ impl SessionBuilder {
 
 impl StreamSession {
     /// A [`SessionBuilder`] with the default configuration (no window, no
-    /// idle eviction, payloads retained, private metrics).
+    /// idle eviction, private metrics).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
     }
@@ -756,7 +745,8 @@ impl StreamSession {
         self.flows.len()
     }
 
-    /// Bytes resident in reassembly and dialect-detection buffers — the
+    /// Bytes resident in reassembly bookkeeping (8 per segment pending
+    /// behind a sequence hole) and dialect-detection buffers — the
     /// quantity the boundedness tests watch and the
     /// `stream_resident_buffer_bytes` gauge reports.
     pub fn resident_buffer_bytes(&self) -> usize {
@@ -982,9 +972,6 @@ impl StreamSession {
                 freed_bytes: conn.buffered_bytes(),
             });
         }
-        if !self.cfg.retain_payload {
-            self.flows.trim_buffers();
-        }
         let cutoff = now - idle;
         if cutoff.is_finite() {
             let idle_outs: Vec<u32> = self
@@ -1068,6 +1055,10 @@ impl StreamSession {
     }
 
     fn update_gauges(&self) {
+        self.metrics
+            .nettap
+            .segments_pending
+            .set(self.flows.pending_segments() as i64);
         self.sm.active_flows.set(self.flows.len() as i64);
         self.sm.active_outstations.set(self.outs.len() as i64);
         self.sm
@@ -1161,6 +1152,9 @@ impl StreamSession {
         all_sessions.extend(sessions);
         let mut all_chains = self.archived_chains;
         all_chains.extend(chains);
+        m.nettap
+            .segments_pending
+            .set(self.flows.pending_segments() as i64);
         self.sm.events_emitted.add(events.len() as u64);
         self.sm.active_flows.set(self.flows.len() as i64);
         self.sm.active_outstations.set(0);
@@ -1558,6 +1552,43 @@ mod tests {
         conversation_at(server, out, port, t0, n, 0.2)
     }
 
+    /// Segments stranded behind a sequence hole show in the
+    /// `nettap_segments_pending` gauge while the session runs and at
+    /// finish, with the value a batch reconstruction of the same packets
+    /// reports, and stay out of the counter fingerprint.
+    #[test]
+    fn stranded_segments_gauge_matches_batch() {
+        let server = addr(10, 0, 0, 1);
+        let out = addr(10, 1, 5, 10);
+        let mut packets = conversation(server, out, 40001, 0.0, 4);
+        // A later capture window resumes the flow past a hole that never
+        // fills: both segments wait behind it.
+        for (i, seq) in [90_000u32, 90_100].into_iter().enumerate() {
+            let t = 50.0 + i as f64;
+            packets.push(packet(t, out, IEC104_PORT, server, 40001, seq, &[0x68; 4]));
+        }
+        let batch = uncharted_obs::MetricsRegistry::new();
+        FlowTable::reconstruct(
+            &packets,
+            &uncharted_nettap::NettapMetrics::register(&batch),
+        );
+        let batch = batch.snapshot();
+        assert_eq!(batch.gauge_value("nettap_segments_pending", &[]), Some(2));
+
+        let metrics = PipelineMetrics::new();
+        let mut s = StreamSession::builder()
+            .metrics(Arc::clone(&metrics))
+            .build();
+        s.push_batch(&packets);
+        let live = metrics.snapshot();
+        assert_eq!(live.gauge_value("nettap_segments_pending", &[]), Some(2));
+        let fingerprint = live.counter_fingerprint();
+        s.finish();
+        let done = metrics.snapshot();
+        assert_eq!(done.gauge_value("nettap_segments_pending", &[]), Some(2));
+        assert!(!fingerprint.contains("segments_pending"));
+    }
+
     #[test]
     fn streaming_summary_counts_a_simple_conversation() {
         let server = addr(10, 0, 0, 1);
@@ -1600,7 +1631,6 @@ mod tests {
         let metrics = PipelineMetrics::new();
         let mut s = StreamSession::builder()
             .idle_timeout(Some(30.0))
-            .retain_payload(false)
             .metrics(Arc::clone(&metrics))
             .build();
         let mut events = Vec::new();
@@ -1726,7 +1756,6 @@ mod tests {
         let mut s = StreamSession::builder()
             .window(Some(1.0))
             .idle_timeout(Some(5.0))
-            .retain_payload(false)
             .metrics(metrics)
             .build();
         s.push_batch(&packets);

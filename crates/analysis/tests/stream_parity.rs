@@ -217,12 +217,14 @@ fn build_capture(flows: &[FlowSpec], lace: &[u8]) -> Vec<ParsedPacket> {
 }
 
 /// The batch reference: ingest + sessions + chain census on a private
-/// sequential context, plus its counter fingerprint.
+/// sequential context, plus its counter fingerprint and the segments left
+/// pending behind sequence holes (a gauge, outside the fingerprint).
 struct BatchRun {
     ds: Dataset,
     sessions: Vec<(u32, u32, bool, SessionFeatures)>,
     chains: Vec<ChainInfo>,
     fingerprint: String,
+    segments_pending: Option<i64>,
 }
 
 fn run_batch(packets: Vec<ParsedPacket>) -> BatchRun {
@@ -233,12 +235,13 @@ fn run_batch(packets: Vec<ParsedPacket>) -> BatchRun {
         .map(|s| (s.src, s.dst, s.from_server, s.features()))
         .collect();
     let chains = ChainCensus::build(&ds, &ctx).rows;
-    let fingerprint = ctx.metrics.snapshot().counter_fingerprint();
+    let snap = ctx.metrics.snapshot();
     BatchRun {
         ds,
         sessions,
         chains,
-        fingerprint,
+        fingerprint: snap.counter_fingerprint(),
+        segments_pending: snap.gauge_value("nettap_segments_pending", &[]),
     }
 }
 
@@ -246,6 +249,7 @@ fn run_batch(packets: Vec<ParsedPacket>) -> BatchRun {
 struct StreamRun {
     summary: uncharted_analysis::StreamSummary,
     fingerprint: String,
+    segments_pending: Option<i64>,
 }
 
 fn run_stream(packets: &[ParsedPacket], batch_size: usize, window: Option<f64>) -> StreamRun {
@@ -262,10 +266,11 @@ fn run_stream(packets: &[ParsedPacket], batch_size: usize, window: Option<f64>) 
         }
     }
     let (summary, _events) = s.finish();
-    let fingerprint = metrics.snapshot().counter_fingerprint();
+    let snap = metrics.snapshot();
     StreamRun {
         summary,
-        fingerprint,
+        fingerprint: snap.counter_fingerprint(),
+        segments_pending: snap.gauge_value("nettap_segments_pending", &[]),
     }
 }
 
@@ -297,6 +302,10 @@ fn assert_stream_parity(packets: &[ParsedPacket]) {
         assert_eq!(
             run.fingerprint, batch.fingerprint,
             "counter fingerprint, {label}"
+        );
+        assert_eq!(
+            run.segments_pending, batch.segments_pending,
+            "stranded segments, {label}"
         );
         assert_eq!(run.summary.evicted_flows, 0, "no timeout, no evictions");
     }
@@ -467,7 +476,6 @@ fn long_replay_with_idle_timeout_stays_bounded() {
     let mut s = StreamSession::builder()
         .window(Some(10.0))
         .idle_timeout(Some(30.0))
-        .retain_payload(false)
         .metrics(std::sync::Arc::clone(&metrics))
         .build();
     let mut max_resident = 0usize;

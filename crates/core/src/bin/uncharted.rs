@@ -354,7 +354,6 @@ fn analyze_follow(
     let mut session = StreamSession::builder()
         .window(window)
         .idle_timeout(idle_timeout)
-        .retain_payload(false)
         .metrics(std::sync::Arc::clone(&metrics))
         .build();
     for chunk in packets.chunks(FOLLOW_BATCH.max(1)) {

@@ -4,9 +4,12 @@
 //! dstPort>` and splits them into **short-lived** flows — those with a
 //! matching SYN and FIN/RST inside the capture — and **long-lived** flows —
 //! those that started before or ended after the capture window. This module
-//! rebuilds connections, their per-direction packet timelines, and the
-//! reassembled (duplicate-free, in-order) payload streams the IEC 104
-//! parsers consume.
+//! rebuilds connections and their per-direction accounting, and tracks TCP
+//! reassembly as sequence intervals: it counts duplicate-free, in-order
+//! delivery without copying payload bytes, and reports each delivered range
+//! to an optional observer ([`FlowTable::push_with`]).
+
+use std::collections::VecDeque;
 
 use crate::metrics::NettapMetrics;
 use crate::pcap::{Capture, ParsedPacket};
@@ -75,6 +78,11 @@ impl Direction {
 }
 
 /// Per-direction accounting and reassembly state.
+///
+/// Reassembly tracks sequence numbers only: it holds no payload bytes.
+/// Each in-order delivery advances the cursor and the counters and is
+/// reported to the observer of [`FlowTable::push_with`] as a sequence
+/// range, so a caller that wants the byte stream keeps the payloads itself.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DirectionStats {
     /// Packet count (all segments, including bare ACKs).
@@ -83,39 +91,54 @@ pub struct DirectionStats {
     pub bytes: usize,
     /// Payload bytes after deduplication.
     pub payload_bytes: usize,
-    /// Timestamps of every segment in this direction.
-    pub times: Vec<f64>,
-    /// The reassembled application byte stream (append-only arena: bytes
-    /// are written exactly once, at delivery).
-    pub stream: Vec<u8>,
+    /// Arrival timestamp of the first segment in this direction.
+    first_time: f64,
+    /// Arrival timestamp of the latest segment in this direction.
+    last_time: f64,
     /// Next expected sequence number (reassembly cursor).
     next_seq: Option<u32>,
-    /// Out-of-order segments awaiting the gap to fill: `(sequence number,
-    /// byte range in `ooo`)`, kept sorted by sequence number. An inline
-    /// sorted vec rather than a tree: a reordering episode holds a handful
-    /// of segments, and tree nodes were the last per-flow state still
-    /// allocating off-arena — with this, everything a flow buffers lives
-    /// in two growable arenas (`ooo` + this vec) that allocate only when a
-    /// reordering episode actually buffers bytes.
-    pending: Vec<(u32, std::ops::Range<usize>)>,
-    /// Side arena holding out-of-order payloads, copied once on arrival.
-    /// Ranges abandoned by keep-longer collisions or overlap trims stay in
-    /// place; the whole arena is reclaimed when `pending` empties, so it
-    /// never outgrows one reordering episode.
-    ooo: Vec<u8>,
+    /// Out-of-order segments awaiting the gap to fill, as `(sequence
+    /// number, length)` intervals sorted numerically by sequence number.
+    /// [`cursor_nearest`] finds the next one to consider by binary search,
+    /// so a hole that never fills (a long-lived flow resumed in a later
+    /// capture window) costs O(log n) per segment queued behind it; a deque
+    /// so that draining a filled hole pops from the front.
+    pending: VecDeque<(u32, u32)>,
     /// Count of duplicate (retransmitted) payload segments seen.
     pub retransmissions: usize,
-    /// In-order segments delivered to `stream` (reassembly successes).
+    /// In-order segments delivered (reassembly successes).
     pub segments_delivered: usize,
     /// Times the reassembly cursor wrapped past 2^32.
     pub seq_wraps: usize,
 }
 
+/// Index of the pending interval nearest the cursor `next` in *wrapping*
+/// order: the one whose `seq.wrapping_sub(next) as i32` is smallest.
+///
+/// Numeric key order is not enough: after a 2^32 sequence wraparound the
+/// numerically smallest key can be far in the future while the in-order
+/// segment sits near `u32::MAX`. Ordering by that signed distance is
+/// ordering by `seq - (next + 2^31)` modulo 2^32, so the nearest interval
+/// is the first key at or above the pivot `next + 2^31`, wrapping to the
+/// numerically smallest key when none is. `pending` must be sorted by
+/// sequence number with unique keys.
+fn cursor_nearest(pending: &VecDeque<(u32, u32)>, next: u32) -> Option<usize> {
+    if pending.is_empty() {
+        return None;
+    }
+    let pivot = next.wrapping_add(1 << 31);
+    let pos = pending.partition_point(|e| e.0 < pivot);
+    Some(if pos == pending.len() { 0 } else { pos })
+}
+
 impl DirectionStats {
-    fn absorb(&mut self, pkt: &ParsedPacket) {
+    fn absorb(&mut self, pkt: &ParsedPacket, on_deliver: &mut impl FnMut(u32, u32)) {
+        if self.packets == 0 {
+            self.first_time = pkt.timestamp;
+        }
+        self.last_time = pkt.timestamp;
         self.packets += 1;
         self.bytes += pkt.payload.len() + 54; // frame = 14 + 20 + 20 + payload
-        self.times.push(pkt.timestamp);
         if pkt.tcp.flags.syn() {
             self.next_seq = Some(pkt.tcp.seq.wrapping_add(1));
         }
@@ -123,118 +146,82 @@ impl DirectionStats {
             return;
         }
         let seq = pkt.tcp.seq;
+        let len = pkt.payload.len() as u32;
         let next = *self.next_seq.get_or_insert(seq);
         if self.pending.is_empty() {
             // Fast path: with nothing buffered the segment's fate depends
-            // only on its position (modulo 2^32) relative to the cursor, so
-            // in-order payload — and the new tail of a partial overlap —
-            // goes straight into `stream` without an intermediate copy.
+            // only on its position (modulo 2^32) relative to the cursor.
             let rel = seq.wrapping_sub(next) as i32;
             if rel == 0 {
-                self.deliver(next, pkt.payload.len(), |stream, _| {
-                    stream.extend_from_slice(&pkt.payload)
-                });
+                self.deliver(next, len, on_deliver);
                 return;
             }
             if rel < 0 {
                 // The prefix up to the cursor is a retransmission, but any
                 // bytes past it are new data: trim and deliver the tail.
                 self.retransmissions += 1;
-                let overlap = next.wrapping_sub(seq) as usize;
-                if overlap < pkt.payload.len() {
-                    self.deliver(next, pkt.payload.len() - overlap, |stream, _| {
-                        stream.extend_from_slice(&pkt.payload[overlap..])
-                    });
+                let overlap = next.wrapping_sub(seq);
+                if overlap < len {
+                    self.deliver(next, len - overlap, on_deliver);
                 }
                 return;
             }
             // rel > 0: a future segment — fall through and buffer it.
         }
-        // Buffer the segment: one copy into the side arena, a range in
-        // `pending`. `flush` decides (modulo 2^32, relative to the cursor)
-        // whether it is in-order, future, a duplicate, or a partial overlap
-        // needing its already-delivered prefix trimmed. On a same-seq
-        // collision keep the longer payload.
-        let start = self.ooo.len();
-        let slot = match self.pending.binary_search_by_key(&seq, |e| e.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.pending.insert(i, (seq, start..start));
-                i
-            }
-        };
-        if pkt.payload.len() > self.pending[slot].1.len() {
-            self.ooo.extend_from_slice(&pkt.payload);
-            self.pending[slot].1 = start..self.ooo.len();
-        }
-        self.flush();
+        // Buffer the interval. `flush` decides (modulo 2^32, relative to
+        // the cursor) whether it is in-order, future, a duplicate, or a
+        // partial overlap needing its already-delivered prefix trimmed. On
+        // a same-seq collision keep the longer segment.
+        self.buffer(seq, len);
+        self.flush(on_deliver);
     }
 
-    /// Advance the cursor by `len` bytes and append them to `stream` via
-    /// `write` (which gets `(stream, ooo)` so arena ranges can deliver too).
-    fn deliver(&mut self, next: u32, len: usize, write: impl FnOnce(&mut Vec<u8>, &[u8])) {
-        let advanced = next.wrapping_add(len as u32);
+    /// Insert the interval `(seq, len)` into `pending`, keeping the longer
+    /// one when an interval already starts at `seq`.
+    fn buffer(&mut self, seq: u32, len: u32) {
+        match self.pending.binary_search_by_key(&seq, |e| e.0) {
+            Ok(i) => self.pending[i].1 = self.pending[i].1.max(len),
+            Err(i) => self.pending.insert(i, (seq, len)),
+        }
+    }
+
+    /// Advance the cursor by `len` bytes, count the delivery and report it.
+    fn deliver(&mut self, next: u32, len: u32, on_deliver: &mut impl FnMut(u32, u32)) {
+        let advanced = next.wrapping_add(len);
         if advanced < next {
             self.seq_wraps += 1;
         }
         self.next_seq = Some(advanced);
-        self.payload_bytes += len;
-        write(&mut self.stream, &self.ooo);
+        self.payload_bytes += len as usize;
         self.segments_delivered += 1;
+        on_deliver(next, len);
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, on_deliver: &mut impl FnMut(u32, u32)) {
         while let Some(next) = self.next_seq {
-            // Pick the segment closest to the cursor in *wrapping* order,
-            // not numeric key order: after a 2^32 sequence wraparound the
-            // numerically-smallest key can be far in the future while the
-            // in-order segment sits near u32::MAX, and a numeric scan would
-            // stall reassembly forever. The vec is small (one reordering
-            // episode), so a linear scan beats maintaining wrapping order.
-            let Some((pos, seq)) = self
-                .pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (s, _))| s.wrapping_sub(next) as i32)
-                .map(|(i, &(s, _))| (i, s))
-            else {
+            let Some(pos) = cursor_nearest(&self.pending, next) else {
                 break;
             };
+            let (seq, len) = self.pending[pos];
             let rel = seq.wrapping_sub(next) as i32;
             if rel > 0 {
                 // True gap: wait for the missing segment.
                 break;
             }
-            let range = self.pending.remove(pos).1;
+            self.pending.remove(pos);
             if rel == 0 {
-                self.deliver(next, range.len(), |stream, ooo| {
-                    stream.extend_from_slice(&ooo[range])
-                });
+                self.deliver(next, len, on_deliver);
             } else {
                 // Starts before the cursor: the prefix is a retransmission,
-                // but any bytes past the cursor are new data — trim the
-                // delivered prefix and keep the remainder instead of
-                // discarding the whole segment. The trim is a range
-                // adjustment, not a copy.
+                // but any bytes past the cursor are new data — keep the
+                // remainder as an interval at the cursor instead of
+                // discarding the whole segment.
                 self.retransmissions += 1;
-                let overlap = next.wrapping_sub(seq) as usize;
-                if overlap < range.len() {
-                    let tail = range.start + overlap..range.end;
-                    match self.pending.binary_search_by_key(&next, |e| e.0) {
-                        Ok(i) => {
-                            if tail.len() > self.pending[i].1.len() {
-                                self.pending[i].1 = tail;
-                            }
-                        }
-                        Err(i) => self.pending.insert(i, (next, tail)),
-                    }
+                let overlap = next.wrapping_sub(seq);
+                if overlap < len {
+                    self.buffer(next, len - overlap);
                 }
             }
-        }
-        // Everything buffered was delivered or superseded: reclaim the
-        // arena so it never outgrows one reordering episode.
-        if self.pending.is_empty() && !self.ooo.is_empty() {
-            self.ooo.clear();
         }
     }
 
@@ -248,39 +235,25 @@ impl DirectionStats {
     /// meaningless, so this returns `None` rather than a negative or
     /// non-finite mean.
     pub fn mean_interarrival(&self) -> Option<f64> {
-        if self.times.len() < 2 {
+        if self.packets < 2 {
             return None;
         }
-        let span = self.times.last().unwrap() - self.times.first().unwrap();
+        let span = self.last_time - self.first_time;
         if !span.is_finite() || span < 0.0 {
             return None;
         }
-        Some(span / (self.times.len() - 1) as f64)
+        Some(span / (self.packets - 1) as f64)
     }
 
-    /// Bytes currently resident in this direction's growable buffers: the
-    /// reassembled stream, the out-of-order side arena, and the timestamp
-    /// log.
+    /// Out-of-order segments still waiting behind a sequence hole.
+    pub fn pending_segments(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Bytes of reassembly bookkeeping this direction holds: 8 per pending
+    /// interval. Payload bytes are never held.
     pub fn buffered_bytes(&self) -> usize {
-        self.stream.len() + self.ooo.len() + self.times.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Release the reassembled stream and timestamp log, returning the
-    /// number of bytes freed.
-    ///
-    /// All counters (`packets`, `bytes`, `payload_bytes`, retransmission and
-    /// delivery counts) and the live reassembly state — the sequence cursor,
-    /// pending out-of-order ranges, and their side arena — are preserved, so
-    /// reassembly continues seamlessly on the next segment. Only the
-    /// *accumulated history* is dropped: `stream` restarts empty and
-    /// [`DirectionStats::mean_interarrival`] returns `None` until two more
-    /// packets arrive. The streaming engine calls this between batches to
-    /// keep long-lived connections from holding their whole payload history.
-    pub fn trim_buffers(&mut self) -> usize {
-        let freed = self.stream.len() + self.times.len() * std::mem::size_of::<f64>();
-        self.stream = Vec::new();
-        self.times = Vec::new();
-        freed
+        self.pending.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -380,7 +353,7 @@ impl TcpConnection {
         }
     }
 
-    fn absorb(&mut self, pkt: &ParsedPacket) {
+    fn absorb(&mut self, pkt: &ParsedPacket, mut on_deliver: impl FnMut(Direction, u32, u32)) {
         self.last_ts = self.last_ts.max(pkt.timestamp);
         self.first_ts = self.first_ts.min(pkt.timestamp);
         let src = SocketAddr::new(pkt.ip.src, pkt.tcp.src_port);
@@ -398,10 +371,12 @@ impl TcpConnection {
         if flags.rst() {
             self.saw_rst = true;
         }
-        match self.direction_from(src) {
-            Direction::AtoB => self.ab.absorb(pkt),
-            Direction::BtoA => self.ba.absorb(pkt),
-        }
+        let dir = self.direction_from(src);
+        let stats = match dir {
+            Direction::AtoB => &mut self.ab,
+            Direction::BtoA => &mut self.ba,
+        };
+        stats.absorb(pkt, &mut |seq, len| on_deliver(dir, seq, len));
     }
 
     /// True once this record saw an orderly or abortive end.
@@ -409,16 +384,10 @@ impl TcpConnection {
         self.saw_rst || self.saw_fin
     }
 
-    /// Bytes resident in this connection's growable buffers, both
+    /// Bytes of reassembly bookkeeping this connection holds, both
     /// directions (see [`DirectionStats::buffered_bytes`]).
     pub fn buffered_bytes(&self) -> usize {
         self.ab.buffered_bytes() + self.ba.buffered_bytes()
-    }
-
-    /// Release both directions' accumulated payload/timestamp history,
-    /// returning bytes freed; see [`DirectionStats::trim_buffers`].
-    pub fn trim_buffers(&mut self) -> usize {
-        self.ab.trim_buffers() + self.ba.trim_buffers()
     }
 }
 
@@ -470,11 +439,12 @@ impl FlowTable {
         table
     }
 
-    /// Sum the per-direction reassembly accounting into the shared counters
-    /// and record the flow count as this run's `flows` stage items. Called
-    /// once per reconstruction, after all packets are absorbed; batch ingest
-    /// calls it after its own fused push loop instead of going through
-    /// [`FlowTable::reconstruct`].
+    /// Sum the per-direction reassembly accounting into the shared counters,
+    /// record the flow count as this run's `flows` stage items, and set the
+    /// `nettap_segments_pending` gauge to the segments left stranded behind
+    /// sequence holes. Called once per reconstruction, after all packets are
+    /// absorbed; batch ingest calls it after its own fused push loop instead
+    /// of going through [`FlowTable::reconstruct`].
     pub fn record_reassembly_metrics(&self, metrics: &NettapMetrics) {
         let mut delivered = 0usize;
         let mut overlaps = 0usize;
@@ -490,10 +460,31 @@ impl FlowTable {
         metrics.overlaps_trimmed.add(overlaps as u64);
         metrics.seq_wraparounds.add(wraps as u64);
         metrics.flows_stage.add_items(self.len() as u64);
+        metrics.segments_pending.set(self.pending_segments() as i64);
     }
 
     /// Feed one packet.
     pub fn push(&mut self, pkt: &ParsedPacket) {
+        self.push_with(pkt, |_, _, _, _| {});
+    }
+
+    /// Feed one packet, reporting every in-order delivery it causes to
+    /// `on_deliver(conn_idx, direction, seq, len)`: the `len` bytes starting
+    /// at sequence number `seq` of that direction are now reassembled, in
+    /// order and free of duplicates. `conn_idx` indexes
+    /// [`FlowTable::connections`] as it stands when the call returns (an
+    /// [`FlowTable::evict_idle`] sweep renumbers the survivors).
+    ///
+    /// One packet can deliver several ranges: its own, then segments that
+    /// were waiting behind the hole it filled. Every delivered range lies
+    /// inside the payload of a single segment this direction sent, so a
+    /// caller that keeps payloads by sequence number can rebuild the byte
+    /// stream; the table itself holds no payload bytes.
+    pub fn push_with(
+        &mut self,
+        pkt: &ParsedPacket,
+        mut on_deliver: impl FnMut(usize, Direction, u32, u32),
+    ) {
         let src = SocketAddr::new(pkt.ip.src, pkt.tcp.src_port);
         let dst = SocketAddr::new(pkt.ip.dst, pkt.tcp.dst_port);
         let key = FlowKey::new(src, dst);
@@ -531,7 +522,7 @@ impl FlowTable {
         };
         self.memo = Some((key, idx));
         self.route.put(packed, idx as u32);
-        self.connections[idx].absorb(pkt);
+        self.connections[idx].absorb(pkt, |dir, seq, len| on_deliver(idx, dir, seq, len));
     }
 
     /// Evict connections whose last captured packet is older than
@@ -540,7 +531,7 @@ impl FlowTable {
     /// This is the streaming engine's reclamation hook: an evicted record is
     /// *final* — its reassembly state is frozen mid-flight if segments were
     /// still pending — and the caller owns it from here (folding its
-    /// counters, emitting an event, dropping its buffers). Surviving
+    /// counters, emitting an event, dropping it). Surviving
     /// connections are untouched: their records keep their first-seen
     /// relative order and the live-record index is rebuilt to point at the
     /// same records it did before, so a flow that straddles an eviction
@@ -577,16 +568,20 @@ impl FlowTable {
         evicted
     }
 
-    /// Bytes resident in every connection's growable buffers (the streaming
-    /// engine's `stream_resident_bytes` gauge source).
+    /// Bytes of reassembly bookkeeping across every connection, 8 per
+    /// pending interval (the streaming engine's
+    /// `stream_resident_buffer_bytes` gauge counts it).
     pub fn buffered_bytes(&self) -> usize {
         self.connections.iter().map(|c| c.buffered_bytes()).sum()
     }
 
-    /// Release accumulated payload/timestamp history for every connection,
-    /// returning total bytes freed; see [`DirectionStats::trim_buffers`].
-    pub fn trim_buffers(&mut self) -> usize {
-        self.connections.iter_mut().map(|c| c.trim_buffers()).sum()
+    /// Out-of-order segments still waiting behind a sequence hole across
+    /// every connection (the `nettap_segments_pending` gauge).
+    pub fn pending_segments(&self) -> usize {
+        self.connections
+            .iter()
+            .map(|c| c.ab.pending_segments() + c.ba.pending_segments())
+            .sum()
     }
 
     /// Number of reconstructed connections.
@@ -660,6 +655,74 @@ mod tests {
         FlowTable::reconstruct(packets, NettapMetrics::sink())
     }
 
+    /// Byte streams rebuilt from [`FlowTable::push_with`] deliveries, per
+    /// 4-tuple and direction; a packet that opens a fresh record for its
+    /// 4-tuple restarts that 4-tuple's streams. Each delivered range is
+    /// resolved against the newest payload its sender pushed that covers
+    /// it, and must belong to the pushed packet's own direction.
+    #[derive(Default)]
+    struct Streams {
+        sent: Vec<(SocketAddr, u32, Vec<u8>)>,
+        bytes: std::collections::HashMap<(FlowKey, Direction), Vec<u8>>,
+    }
+
+    impl Streams {
+        /// Push every packet into a fresh table.
+        fn of(packets: &[ParsedPacket]) -> (FlowTable, Streams) {
+            let mut table = FlowTable::default();
+            let mut streams = Streams::default();
+            for p in packets {
+                streams.push(&mut table, p);
+            }
+            (table, streams)
+        }
+
+        fn push(&mut self, table: &mut FlowTable, p: &ParsedPacket) {
+            let src = SocketAddr::new(p.ip.src, p.tcp.src_port);
+            let key = FlowKey::new(src, SocketAddr::new(p.ip.dst, p.tcp.dst_port));
+            let own = if src == key.a {
+                Direction::AtoB
+            } else {
+                Direction::BtoA
+            };
+            if !p.payload.is_empty() {
+                self.sent.push((src, p.tcp.seq, p.payload.clone()));
+            }
+            let records = table.len();
+            let mut delivered = Vec::new();
+            table.push_with(p, |idx, dir, seq, len| delivered.push((idx, dir, seq, len)));
+            if table.len() > records {
+                self.bytes.retain(|(k, _), _| *k != key);
+            }
+            for (idx, dir, seq, len) in delivered {
+                assert_eq!(table.connections[idx].key, key, "delivery names the record");
+                assert_eq!(dir, own, "a packet delivers only its own direction");
+                let (off, payload) = self
+                    .sent
+                    .iter()
+                    .rev()
+                    .filter(|(from, _, _)| *from == src)
+                    .map(|(_, start, payload)| (seq.wrapping_sub(*start) as usize, payload))
+                    .find(|(off, payload)| off + len as usize <= payload.len())
+                    .expect("a delivered range lies inside a sent segment");
+                self.bytes
+                    .entry((key, dir))
+                    .or_default()
+                    .extend_from_slice(&payload[off..off + len as usize]);
+            }
+        }
+
+        /// The stream `from` sent on the latest record of `key`.
+        fn sent_by(&self, key: FlowKey, from: SocketAddr) -> &[u8] {
+            let dir = if from == key.a {
+                Direction::AtoB
+            } else {
+                Direction::BtoA
+            };
+            self.bytes.get(&(key, dir)).map_or(&[], Vec::as_slice)
+        }
+    }
+
     /// SYN → RST: the Fig. 9 refused backup connection.
     #[test]
     fn refused_connection_is_short_lived() {
@@ -706,7 +769,7 @@ mod tests {
             pkt(2.01, r, s, 501, 108, TcpFlags::FIN.with(TcpFlags::ACK), b""),
             pkt(2.02, s, r, 108, 502, TcpFlags::ACK, b""),
         ];
-        let table = table_of(&packets);
+        let (table, streams) = Streams::of(&packets);
         assert_eq!(table.len(), 1);
         let c = &table.connections[0];
         assert!(c.is_short_lived());
@@ -714,7 +777,8 @@ mod tests {
         assert!((c.duration() - 2.02).abs() < 1e-9);
         // Payload reassembly: the server→rtu stream holds the APDU.
         let dir = c.direction_from(s);
-        assert_eq!(c.dir(dir).stream, b"\x68\x04\x07\x00\x00\x00");
+        assert_eq!(streams.sent_by(c.key, s), b"\x68\x04\x07\x00\x00\x00");
+        assert!(streams.sent_by(c.key, r).is_empty());
         assert_eq!(c.dir(dir).packets, 5);
         assert_eq!(c.dir(dir.flip()).packets, 3);
     }
@@ -744,10 +808,10 @@ mod tests {
                 b"def",
             ),
         ];
-        let table = table_of(&packets);
+        let (table, streams) = Streams::of(&packets);
         let c = &table.connections[0];
         assert!(c.is_long_lived());
-        assert_eq!(c.dir(c.direction_from(r)).stream, b"abcdef");
+        assert_eq!(streams.sent_by(c.key, r), b"abcdef");
     }
 
     #[test]
@@ -760,10 +824,10 @@ mod tests {
             pkt(1.2, r, s, 900, 100, data, b"abc"), // retransmission
             pkt(1.4, r, s, 903, 100, data, b"def"),
         ];
-        let table = table_of(&packets);
+        let (table, streams) = Streams::of(&packets);
         let c = &table.connections[0];
         let d = c.dir(c.direction_from(r));
-        assert_eq!(d.stream, b"abcdef");
+        assert_eq!(streams.sent_by(c.key, r), b"abcdef");
         assert_eq!(d.retransmissions, 1);
         assert_eq!(d.packets, 3, "packets still counted");
     }
@@ -778,9 +842,9 @@ mod tests {
             pkt(1.1, r, s, 906, 100, data, b"ghi"), // arrives early
             pkt(1.2, r, s, 903, 100, data, b"def"),
         ];
-        let table = table_of(&packets);
+        let (table, streams) = Streams::of(&packets);
         let c = &table.connections[0];
-        assert_eq!(c.dir(c.direction_from(r)).stream, b"abcdefghi");
+        assert_eq!(streams.sent_by(c.key, r), b"abcdefghi");
     }
 
     /// Regression: a segment that re-sends delivered bytes but carries new
@@ -796,10 +860,10 @@ mod tests {
             // Re-sends "def" (900+3..900+6) but extends with "ghi".
             pkt(1.2, r, s, 903, 100, data, b"defghi"),
         ];
-        let table = table_of(&packets);
+        let (table, streams) = Streams::of(&packets);
         let c = &table.connections[0];
         let d = c.dir(c.direction_from(r));
-        assert_eq!(d.stream, b"abcdefghi");
+        assert_eq!(streams.sent_by(c.key, r), b"abcdefghi");
         assert_eq!(d.retransmissions, 1, "overlapping prefix counted");
         assert_eq!(d.payload_bytes, 9);
     }
@@ -814,16 +878,20 @@ mod tests {
         let r = rtu();
         let data = TcpFlags::ACK.with(TcpFlags::PSH);
         let start = u32::MAX - 5;
-        let mut dir = DirectionStats::default();
-        dir.absorb(&pkt(0.9, r, s, start, 100, data, b"abc")); // cursor -> MAX-2
-                                                               // Early post-wrap segment: numerically tiny key, buffered as a gap.
-        dir.absorb(&pkt(1.0, r, s, 0, 100, data, b"ghi"));
-        // In-order pre-wrap segment: a numeric scan of pending would see
-        // key 1 first, misread it as the frontier, and stall here.
-        dir.absorb(&pkt(1.1, r, s, u32::MAX - 2, 100, data, b"def"));
-        assert_eq!(dir.stream, b"abcdefghi");
+        let (table, streams) = Streams::of(&[
+            pkt(0.9, r, s, start, 100, data, b"abc"), // cursor -> MAX-2
+            // Early post-wrap segment: numerically tiny key, buffered as a gap.
+            pkt(1.0, r, s, 0, 100, data, b"ghi"),
+            // In-order pre-wrap segment: a numeric scan of pending would see
+            // key 0 first, misread it as the frontier, and stall here.
+            pkt(1.1, r, s, u32::MAX - 2, 100, data, b"def"),
+        ]);
+        let c = &table.connections[0];
+        let dir = c.dir(c.direction_from(r));
+        assert_eq!(streams.sent_by(c.key, r), b"abcdefghi");
         assert_eq!(dir.payload_bytes, 9);
         assert_eq!(dir.retransmissions, 0);
+        assert_eq!(dir.seq_wraps, 1);
     }
 
     /// Regression companion: an early post-wrap segment buffered while the
@@ -834,11 +902,13 @@ mod tests {
         let s = server();
         let data = TcpFlags::ACK.with(TcpFlags::PSH);
         let start = u32::MAX - 2;
-        let mut dir = DirectionStats::default();
-        dir.absorb(&pkt(0.5, r, s, start, 100, data, b"abc")); // cursor wraps to 0
-        dir.absorb(&pkt(0.6, r, s, 0, 100, data, b"def"));
-        assert_eq!(dir.stream, b"abcdef");
-        assert_eq!(dir.retransmissions, 0);
+        let (table, streams) = Streams::of(&[
+            pkt(0.5, r, s, start, 100, data, b"abc"), // cursor wraps to 0
+            pkt(0.6, r, s, 0, 100, data, b"def"),
+        ]);
+        let c = &table.connections[0];
+        assert_eq!(streams.sent_by(c.key, r), b"abcdef");
+        assert_eq!(c.dir(c.direction_from(r)).retransmissions, 0);
     }
 
     #[test]
@@ -951,15 +1021,15 @@ mod tests {
         let r = rtu();
         let data = TcpFlags::ACK.with(TcpFlags::PSH);
         let mut dir = DirectionStats::default();
-        dir.absorb(&pkt(10.0, r, s, 1, 1, data, b"a"));
-        dir.absorb(&pkt(4.0, r, s, 2, 1, data, b"b")); // clock stepped back
+        dir.absorb(&pkt(10.0, r, s, 1, 1, data, b"a"), &mut |_, _| {});
+        dir.absorb(&pkt(4.0, r, s, 2, 1, data, b"b"), &mut |_, _| {}); // clock stepped back
         assert_eq!(dir.mean_interarrival(), None);
 
         // A corrupt record carrying a NaN timestamp must not poison the
         // mean either.
         let mut dir = DirectionStats::default();
-        dir.absorb(&pkt(1.0, r, s, 1, 1, data, b"a"));
-        dir.absorb(&pkt(f64::NAN, r, s, 2, 1, data, b"b"));
+        dir.absorb(&pkt(1.0, r, s, 1, 1, data, b"a"), &mut |_, _| {});
+        dir.absorb(&pkt(f64::NAN, r, s, 2, 1, data, b"b"), &mut |_, _| {});
         assert_eq!(dir.mean_interarrival(), None);
     }
 
@@ -971,9 +1041,10 @@ mod tests {
         let old1 = SocketAddr::new(addr(10, 0, 0, 1), 40001);
         let old2 = SocketAddr::new(addr(10, 0, 0, 2), 40002);
         let live = SocketAddr::new(addr(10, 0, 0, 3), 40003);
-        table.push(&pkt(1.0, old1, r, 100, 0, data, b"abc"));
-        table.push(&pkt(2.0, old2, r, 100, 0, data, b"def"));
-        table.push(&pkt(90.0, live, r, 100, 0, data, b"ghi"));
+        let mut streams = Streams::default();
+        streams.push(&mut table, &pkt(1.0, old1, r, 100, 0, data, b"abc"));
+        streams.push(&mut table, &pkt(2.0, old2, r, 100, 0, data, b"def"));
+        streams.push(&mut table, &pkt(90.0, live, r, 100, 0, data, b"ghi"));
 
         let evicted = table.evict_idle(100.0, 30.0);
         assert_eq!(evicted.len(), 2);
@@ -983,16 +1054,18 @@ mod tests {
         assert_eq!(table.connections[0].key, FlowKey::new(live, r));
 
         // The survivor's live index still routes packets to its record.
-        table.push(&pkt(101.0, live, r, 103, 0, data, b"jkl"));
+        streams.push(&mut table, &pkt(101.0, live, r, 103, 0, data, b"jkl"));
         assert_eq!(table.len(), 1);
         let c = &table.connections[0];
-        assert_eq!(c.dir(c.direction_from(live)).stream, b"ghijkl");
+        assert_eq!(streams.sent_by(c.key, live), b"ghijkl");
+        assert_eq!(c.dir(c.direction_from(live)).segments_delivered, 2);
 
         // An evicted 4-tuple that comes back opens a fresh record.
-        table.push(&pkt(102.0, old1, r, 500, 0, data, b"new"));
+        streams.push(&mut table, &pkt(102.0, old1, r, 500, 0, data, b"new"));
         assert_eq!(table.len(), 2);
         let c = &table.connections[1];
-        assert_eq!(c.dir(c.direction_from(old1)).stream, b"new");
+        assert_eq!(streams.sent_by(c.key, old1), b"new");
+        assert_eq!(c.dir(c.direction_from(old1)).payload_bytes, 3);
     }
 
     /// Evicting a flow mid-reassembly — pending bytes buffered, an
@@ -1019,69 +1092,197 @@ mod tests {
         ];
 
         let mut table = FlowTable::default();
+        let mut streams = Streams::default();
         for p in [
             &stuck_pkts[0],
             &healthy_pkts[0],
             &stuck_pkts[1],
             &healthy_pkts[1],
         ] {
-            table.push(p);
+            streams.push(&mut table, p);
         }
         let evicted = table.evict_idle(41.5, 30.0);
         assert_eq!(evicted.len(), 1, "only the stuck flow is idle");
         let frozen = &evicted[0];
         assert_eq!(frozen.key, FlowKey::new(stuck, r));
         let d = frozen.dir(frozen.direction_from(stuck));
-        assert_eq!(d.stream, b"abc", "delivered prefix survives the freeze");
+        assert_eq!(
+            streams.sent_by(frozen.key, stuck),
+            b"abc",
+            "delivered prefix survives the freeze"
+        );
         assert_eq!(d.payload_bytes, 3);
         assert_eq!(d.segments_delivered, 1);
-        assert!(
-            d.buffered_bytes() > d.stream.len(),
-            "pending out-of-order bytes are still accounted"
-        );
-        table.push(&healthy_pkts[2]);
+        assert_eq!(d.pending_segments(), 1, "the stranded segment is kept");
+        assert_eq!(d.buffered_bytes(), 8, "one pending interval is accounted");
+        streams.push(&mut table, &healthy_pkts[2]);
 
         // Reference: the healthy flow alone, no eviction sweep.
-        let mut solo = FlowTable::default();
-        for p in &healthy_pkts {
-            solo.push(p);
-        }
+        let (solo, solo_streams) = Streams::of(&healthy_pkts);
         let got = &table.connections[0];
         let want = &solo.connections[0];
         assert_eq!(got, want, "survivor must be bit-identical to a solo run");
+        assert_eq!(
+            streams.sent_by(got.key, healthy),
+            solo_streams.sent_by(want.key, healthy)
+        );
+        assert_eq!(streams.sent_by(got.key, healthy), b"onetwothr");
         let gd = got.dir(got.direction_from(healthy));
-        assert_eq!(gd.stream, b"onetwothr");
         assert_eq!(gd.retransmissions, 0);
     }
 
+    /// An eviction sweep rebuilds the table around its survivors; a
+    /// survivor caught mid-reassembly must keep its cursor and pending
+    /// intervals through it, so the hole still fills afterwards.
     #[test]
-    fn trim_buffers_frees_history_but_keeps_reassembly_state() {
+    fn eviction_sweep_keeps_survivor_cursor_and_intervals() {
         let data = TcpFlags::ACK.with(TcpFlags::PSH);
         let r = rtu();
         let s = server();
+        let idle = SocketAddr::new(addr(10, 0, 0, 9), 40009);
         let mut table = FlowTable::default();
-        table.push(&pkt(1.0, s, r, 100, 0, data, b"abc"));
-        // Out-of-order segment left pending across the trim.
-        table.push(&pkt(1.1, s, r, 106, 0, data, b"ghi"));
-        let before = table.buffered_bytes();
-        assert!(before > 0);
+        let mut streams = Streams::default();
+        streams.push(&mut table, &pkt(0.5, idle, r, 7, 0, data, b"zz"));
+        streams.push(&mut table, &pkt(50.0, s, r, 100, 0, data, b"abc"));
+        // Out-of-order segment left pending across the sweep.
+        streams.push(&mut table, &pkt(50.1, s, r, 106, 0, data, b"ghi"));
+        assert_eq!(table.pending_segments(), 1);
+        assert_eq!(table.buffered_bytes(), 8);
 
-        let freed = table.trim_buffers();
-        assert!(freed > 0);
-        assert!(table.buffered_bytes() < before);
-        let c = &table.connections[0];
-        let d = c.dir(c.direction_from(s));
-        assert!(d.stream.is_empty());
-        assert_eq!(d.payload_bytes, 3, "counters survive the trim");
+        let evicted = table.evict_idle(60.0, 30.0);
+        assert_eq!(evicted.len(), 1, "only the idle flow goes");
+        assert_eq!(table.len(), 1);
+        let d = table.connections[0].dir(Direction::AtoB);
+        assert_eq!(d.next_seq, Some(103), "cursor survives the sweep");
+        assert_eq!(d.pending, [(106, 3)], "intervals survive the sweep");
+        assert_eq!(d.payload_bytes, 3);
         assert_eq!(d.packets, 2);
 
         // The pending segment still completes once the gap fills.
-        table.push(&pkt(1.2, s, r, 103, 0, data, b"def"));
+        streams.push(&mut table, &pkt(50.2, s, r, 103, 0, data, b"def"));
         let c = &table.connections[0];
         let d = c.dir(c.direction_from(s));
-        assert_eq!(d.stream, b"defghi", "post-trim delivery continues");
+        assert_eq!(streams.sent_by(c.key, s), b"abcdefghi");
         assert_eq!(d.payload_bytes, 9);
         assert_eq!(d.segments_delivered, 3);
+        assert_eq!(table.pending_segments(), 0);
+        assert_eq!(table.buffered_bytes(), 0);
+    }
+
+    /// The multi-window cliff: one direction, one sequence hole that never
+    /// fills, and 20,000 segments queued behind it. Each queued segment must
+    /// cost O(log n), not a scan of everything already queued (which took
+    /// ~11 s in a debug build). Filling the hole at the end then drains the
+    /// whole queue.
+    #[test]
+    fn permanent_hole_with_20k_segments_behind_stays_fast() {
+        const BEHIND: u32 = 20_000;
+        let data = TcpFlags::ACK.with(TcpFlags::PSH);
+        let (s, r) = (server(), rtu());
+        let mut packets = vec![pkt(0.0, s, r, 1000, 0, data, b"abcd")];
+        // The hole is [1004, 1008); everything after it arrives in order.
+        for i in 0..BEHIND {
+            let seq = 1008 + 4 * i;
+            packets.push(pkt(1.0 + f64::from(i) * 1e-3, s, r, seq, 0, data, b"wxyz"));
+        }
+        let reg = uncharted_obs::MetricsRegistry::new();
+        let metrics = NettapMetrics::register(&reg);
+        let started = std::time::Instant::now();
+        let mut table = FlowTable::reconstruct(&packets, &metrics);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "queueing behind a permanent hole took {elapsed:?}"
+        );
+        let d = table.connections[0].dir(Direction::AtoB);
+        assert_eq!(d.packets, BEHIND as usize + 1);
+        assert_eq!(d.segments_delivered, 1);
+        assert_eq!(d.payload_bytes, 4);
+        assert_eq!(d.retransmissions, 0);
+        assert_eq!(d.pending_segments(), BEHIND as usize);
+        assert_eq!(d.buffered_bytes(), 8 * BEHIND as usize);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_total("nettap_segments_reassembled"), 1);
+        assert_eq!(snap.counter_total("nettap_overlaps_trimmed"), 0);
+        assert_eq!(
+            snap.gauge_value("nettap_segments_pending", &[]),
+            Some(i64::from(BEHIND))
+        );
+
+        let started = std::time::Instant::now();
+        let mut delivered = 0u32;
+        table.push_with(&pkt(99.0, s, r, 1004, 0, data, b"efgh"), |_, _, _, len| {
+            delivered += len;
+        });
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "draining the filled hole took {elapsed:?}"
+        );
+        assert_eq!(delivered, 4 + 4 * BEHIND);
+        let d = table.connections[0].dir(Direction::AtoB);
+        assert_eq!(d.segments_delivered, BEHIND as usize + 2);
+        assert_eq!(d.payload_bytes, 8 + 4 * BEHIND as usize);
+        assert_eq!(d.pending_segments(), 0);
+    }
+
+    /// The pick `flush` used before [`cursor_nearest`]: a linear scan for
+    /// the smallest wrapping distance from the cursor.
+    fn linear_nearest(pending: &VecDeque<(u32, u32)>, next: u32) -> Option<usize> {
+        pending
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (s, _))| s.wrapping_sub(next) as i32)
+            .map(|(i, _)| i)
+    }
+
+    /// Sequence numbers drawn where wrapping order and numeric order
+    /// disagree: anywhere, within 64 KiB below and above 2^32, and around
+    /// 2^31 (where the pivot of a cursor near 0 lands).
+    fn arb_seq() -> impl proptest::strategy::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        prop_oneof![
+            any::<u32>(),
+            (0u32..65_536).prop_map(|d| u32::MAX - d),
+            0u32..65_536,
+            (0u32..65_536).prop_map(|d| (1u32 << 31) - 32_768 + d),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The binary-search pick equals the linear wrapping scan for any
+        /// sorted pending set and cursor, including cursors of 0, 2^31 and
+        /// u32::MAX, a key equal to the pivot `next + 2^31`, and keys
+        /// straddling the 2^32 wrap.
+        #[test]
+        fn cursor_nearest_matches_linear_scan(
+            keys in proptest::collection::vec(arb_seq(), 0..48),
+            next in proptest::prop_oneof![
+                arb_seq(),
+                proptest::strategy::Just(0u32),
+                proptest::strategy::Just(1u32 << 31),
+                proptest::strategy::Just(u32::MAX),
+            ],
+            key_at_pivot in proptest::prelude::any::<bool>(),
+            key_at_cursor in proptest::prelude::any::<bool>(),
+        ) {
+            let mut keys = keys;
+            if key_at_pivot {
+                keys.push(next.wrapping_add(1 << 31));
+            }
+            if key_at_cursor {
+                keys.push(next);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            let pending: VecDeque<(u32, u32)> = keys.iter().map(|&k| (k, 1)).collect();
+            proptest::prop_assert_eq!(
+                cursor_nearest(&pending, next),
+                linear_nearest(&pending, next)
+            );
+        }
     }
 
     #[test]

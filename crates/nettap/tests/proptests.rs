@@ -32,6 +32,33 @@ fn arb_tcp_header() -> impl Strategy<Value = TcpHeader> {
         })
 }
 
+/// Initial sequence numbers: a plain one, and ones within 400 bytes below
+/// 2^32 so the stream wraps mid-reassembly.
+fn arb_isn() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(1000u32), (0u32..400).prop_map(|d| u32::MAX - d)]
+}
+
+/// Push `packets` (one direction of one connection, stream starting at
+/// sequence number `isn`) through [`FlowTable::push_with`] and rebuild the
+/// stream from the delivered ranges by indexing the original `data`. The
+/// ranges must arrive in order and back to back for the result to equal
+/// `data`.
+fn rebuild_from_deliveries(
+    packets: &[uncharted_nettap::pcap::ParsedPacket],
+    isn: u32,
+    data: &[u8],
+) -> (FlowTable, Vec<u8>) {
+    let mut table = FlowTable::default();
+    let mut rebuilt = Vec::new();
+    for p in packets {
+        table.push_with(p, |_, _, seq, len| {
+            let off = seq.wrapping_sub(isn) as usize;
+            rebuilt.extend_from_slice(&data[off..off + len as usize]);
+        });
+    }
+    (table, rebuilt)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -115,12 +142,14 @@ proptest! {
 
     /// Stream reassembly is invariant under resegmentation and duplication:
     /// split a byte stream into arbitrary TCP segments, duplicate some, and
-    /// the reassembled stream must equal the original bytes.
+    /// the reassembled stream must equal the original bytes, also when the
+    /// sequence numbers wrap past 2^32.
     #[test]
     fn reassembly_invariant_under_segmentation(
         data in prop::collection::vec(any::<u8>(), 1..400),
         cuts in prop::collection::vec(1usize..400, 0..8),
         dup_idx in any::<prop::sample::Index>(),
+        isn in arb_isn(),
     ) {
         let src = (0x0a000001u32, 40000u16);
         let dst = (0x0a010203u32, 2404u16);
@@ -134,7 +163,7 @@ proptest! {
         let mut segs = Vec::new();
         for w in offsets.windows(2) {
             let (a, b) = (w[0], w[1]);
-            segs.push((1000 + a as u32, data[a..b].to_vec()));
+            segs.push((isn.wrapping_add(a as u32), data[a..b].to_vec()));
         }
         // Duplicate one segment (a retransmission).
         if !segs.is_empty() {
@@ -166,19 +195,17 @@ proptest! {
             );
             t += 0.01;
         }
-        let table = FlowTable::reconstruct(
-            &packets,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let (table, rebuilt) = rebuild_from_deliveries(&packets, isn, &data);
         prop_assert_eq!(table.len(), 1);
         let conn = &table.connections[0];
         let dir = conn.direction_from(uncharted_nettap::stack::SocketAddr::new(src.0, src.1));
-        prop_assert_eq!(&conn.dir(dir).stream, &data);
+        prop_assert_eq!(&rebuilt, &data);
+        prop_assert_eq!(conn.dir(dir).payload_bytes, data.len());
     }
 
     /// Reassembly is also invariant under reordering: deliver the tail
     /// segments in an adversarial order (reversed, then randomly swapped)
-    /// and the out-of-order arena must still reproduce the exact stream.
+    /// and the pending intervals must still reproduce the exact stream.
     #[test]
     fn reassembly_invariant_under_reordering(
         data in prop::collection::vec(any::<u8>(), 2..400),
@@ -187,6 +214,7 @@ proptest! {
             (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
             0..6,
         ),
+        isn in arb_isn(),
     ) {
         let src = (0x0a000001u32, 40001u16);
         let dst = (0x0a010203u32, 2404u16);
@@ -197,7 +225,7 @@ proptest! {
         offsets.dedup();
         let mut segs: Vec<(u32, Vec<u8>)> = offsets
             .windows(2)
-            .map(|w| (1000 + w[0] as u32, data[w[0]..w[1]].to_vec()))
+            .map(|w| (isn.wrapping_add(w[0] as u32), data[w[0]..w[1]].to_vec()))
             .collect();
         // Keep the opening segment first (it anchors the stream cursor);
         // scramble everything after it.
@@ -235,14 +263,12 @@ proptest! {
             );
             t += 0.01;
         }
-        let table = FlowTable::reconstruct(
-            &packets,
-            uncharted_nettap::NettapMetrics::sink(),
-        );
+        let (table, rebuilt) = rebuild_from_deliveries(&packets, isn, &data);
         prop_assert_eq!(table.len(), 1);
         let conn = &table.connections[0];
         let dir = conn.direction_from(uncharted_nettap::stack::SocketAddr::new(src.0, src.1));
-        prop_assert_eq!(&conn.dir(dir).stream, &data);
+        prop_assert_eq!(&rebuilt, &data);
+        prop_assert_eq!(conn.dir(dir).payload_bytes, data.len());
     }
 
     #[test]

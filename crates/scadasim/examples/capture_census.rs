@@ -1,11 +1,15 @@
 //! Prints a quick census of a small simulated capture: packet counts,
 //! flow lifetimes and the APDU token distribution (a miniature Table 7).
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use uncharted_iec104::apdu::{StreamDecoder, StreamItem};
 use uncharted_iec104::dialect::Dialect;
-use uncharted_nettap::flow::FlowTable;
+use uncharted_nettap::flow::{Direction, FlowTable};
+use uncharted_nettap::stack::SocketAddr;
 use uncharted_scadasim::scenario::{Scenario, Year};
 use uncharted_scadasim::sim::Simulation;
+
+/// One direction's payloads as `(sequence number, bytes)`, oldest first.
+type Segments<'a> = Vec<(u32, &'a [u8])>;
 
 fn main() {
     let mut sc = Scenario::small(Year::Y1, 42, 180.0);
@@ -14,7 +18,37 @@ fn main() {
     let set = Simulation::new(sc).run();
     let cap = &set.captures[0];
     println!("packets: {}", cap.len());
-    let table = FlowTable::from_capture(cap);
+
+    // Reassemble, rebuilding each direction's byte stream from the ranges
+    // `push_with` reports as delivered. The flow table holds no payload, so
+    // keep every payload by sender and sequence number: a delivered range
+    // always lies inside one segment that direction sent (the newest such
+    // segment is searched first, which is the current packet unless the
+    // range was waiting behind a hole).
+    let packets = cap.parsed();
+    let mut table = FlowTable::default();
+    let mut sent: HashMap<(SocketAddr, SocketAddr), Segments> = HashMap::new();
+    let mut streams: HashMap<(usize, Direction), Vec<u8>> = HashMap::new();
+    for pkt in &packets {
+        let src = SocketAddr::new(pkt.ip.src, pkt.tcp.src_port);
+        let dst = SocketAddr::new(pkt.ip.dst, pkt.tcp.dst_port);
+        let segs = sent.entry((src, dst)).or_default();
+        if !pkt.payload.is_empty() {
+            segs.push((pkt.tcp.seq, &pkt.payload));
+        }
+        table.push_with(pkt, |conn, dir, seq, len| {
+            let (off, payload) = segs
+                .iter()
+                .rev()
+                .map(|&(start, payload)| (seq.wrapping_sub(start) as usize, payload))
+                .find(|&(off, payload)| off + len as usize <= payload.len())
+                .expect("a delivered range lies inside a sent segment");
+            streams
+                .entry((conn, dir))
+                .or_default()
+                .extend_from_slice(&payload[off..off + len as usize]);
+        });
+    }
     println!("connections: {}", table.len());
     let short: Vec<_> = table.short_lived().collect();
     let sub1 = short.iter().filter(|c| c.duration() < 1.0).count();
@@ -28,15 +62,11 @@ fn main() {
     // Token census per connection direction.
     let mut type_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut malformed = 0usize;
-    for conn in &table.connections {
-        for dir in [
-            uncharted_nettap::flow::Direction::AtoB,
-            uncharted_nettap::flow::Direction::BtoA,
-        ] {
-            let stream = &conn.dir(dir).stream;
-            if stream.is_empty() {
+    for conn in 0..table.len() {
+        for dir in [Direction::AtoB, Direction::BtoA] {
+            let Some(stream) = streams.get(&(conn, dir)) else {
                 continue;
-            }
+            };
             let mut dec = StreamDecoder::new(Dialect::STANDARD);
             for item in dec.feed(stream) {
                 match item {

@@ -98,9 +98,6 @@ pub struct SessionConfig {
     pub idle_timeout: Option<f64>,
     /// Evict a *source* that delivers no bytes for this many seconds.
     pub source_timeout: f64,
-    /// Retain decoded payload bytes inside the session (serve never needs
-    /// them; batch analysis does).
-    pub retain_payload: bool,
     /// Packets per batch handed from reader to worker.
     pub batch: usize,
     /// Batches buffered per source before the reader blocks (backpressure).
@@ -113,7 +110,6 @@ impl Default for SessionConfig {
             window: None,
             idle_timeout: None,
             source_timeout: 30.0,
-            retain_payload: false,
             batch: 512,
             queue_depth: 4,
         }
@@ -149,12 +145,6 @@ impl SessionConfigBuilder {
     /// Per-source silence timeout in seconds.
     pub fn source_timeout(mut self, source_timeout: f64) -> SessionConfigBuilder {
         self.cfg.source_timeout = source_timeout;
-        self
-    }
-
-    /// Whether sessions retain decoded payload bytes.
-    pub fn retain_payload(mut self, retain: bool) -> SessionConfigBuilder {
-        self.cfg.retain_payload = retain;
         self
     }
 
@@ -964,7 +954,6 @@ fn run_worker(rx: Receiver<Vec<ParsedPacket>>, state: Arc<SourceState>, shared: 
     let mut session = StreamSession::builder()
         .window(shared.cfg.session.window)
         .idle_timeout(shared.cfg.session.idle_timeout)
-        .retain_payload(shared.cfg.session.retain_payload)
         .metrics(Arc::clone(&state.metrics))
         .build();
     let label = state.id.to_string();
